@@ -32,7 +32,7 @@ from .sampling import (
     seed_payload,
 )
 from .stats import TestReport, dump_raw, run_battery, scatter_indexes
-from .stream import DEFAULT_RESEED_INTERVAL, Generator, new_generator
+from .stream import DEFAULT_RESEED_INTERVAL, Generator
 
 __version__ = "0.1.0"
 
@@ -61,7 +61,6 @@ __all__ = [
     "expand_matrix",
     "hide",
     "initialize",
-    "new_generator",
     "oracle_hiding",
     "oracle_plain",
     "run_battery",

@@ -13,11 +13,17 @@ import sys
 import time
 
 from .errors import LwerngError
-from .lwe_hiding import MODES, distinguishing_experiment
+from .lwe_hiding import MIN_TRIALS, MODES, distinguishing_experiment
 from .params import default_params
 from .qkd import run_session
 from .sampling import SEED_BYTES, EntropyInput
-from .stats import dump_raw, run_battery, scatter_indexes, write_scatter_csv
+from .stats import (
+    MIN_BATTERY_BITS,
+    dump_raw,
+    run_battery,
+    scatter_indexes,
+    write_scatter_csv,
+)
 from .stream import DEFAULT_RESEED_INTERVAL, Generator
 
 
@@ -47,6 +53,22 @@ def _resolve_entropy(seed_hex, seed_file) -> EntropyInput:
     return EntropyInput(os.urandom(SEED_BYTES))
 
 
+def _at_least(low: int):
+    """argparse type: an integer >= low, so a bad count is a usage error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = f"integer >= {low}"
+    return parse
+
+
+_COUNT = _at_least(0)
+_POSITIVE = _at_least(1)
+
+
 def _add_seed_args(sp):
     sp.add_argument("--seed-hex", help=f"{2 * SEED_BYTES} hex chars of seed material")
     sp.add_argument("--seed-file", help="file holding 32 seed bytes "
@@ -58,46 +80,53 @@ def _build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write raw generator bytes")
+    g.set_defaults(func=_cmd_generate)
     _add_seed_args(g)
-    g.add_argument("--bytes", type=int, default=32, dest="nbytes")
+    g.add_argument("--bytes", type=_COUNT, default=32, dest="nbytes")
     g.add_argument("--out", help="output file (default stdout)")
     g.add_argument("--force", action="store_true",
                    help="allow raw bytes on a terminal stdout")
-    g.add_argument("--reseed-interval", type=int, default=DEFAULT_RESEED_INTERVAL,
+    g.add_argument("--reseed-interval", type=_COUNT, default=DEFAULT_RESEED_INTERVAL,
                    help="bits between automatic reseeds, 0 disables")
 
     s = sub.add_parser("stats", help="run the built-in randomness battery")
+    s.set_defaults(func=_cmd_stats)
     _add_seed_args(s)
-    s.add_argument("--bits", type=int, default=10_000_000)
+    s.add_argument("--bits", type=_at_least(MIN_BATTERY_BITS), default=10_000_000)
 
     d = sub.add_parser("dieharder-dump", help="dump raw bytes for an external suite")
+    d.set_defaults(func=_cmd_dump)
     _add_seed_args(d)
-    d.add_argument("--bytes", type=int, default=1_100_000_000, dest="nbytes")
+    d.add_argument("--bytes", type=_COUNT, default=1_100_000_000, dest="nbytes")
     d.add_argument("--out", required=True)
 
     sc = sub.add_parser("scatter", help="export 3-bit scatter indexes as CSV")
+    sc.set_defaults(func=_cmd_scatter)
     _add_seed_args(sc)
-    sc.add_argument("--count", type=int, default=1_000_000)
+    sc.add_argument("--count", type=_POSITIVE, default=1_000_000)
     sc.add_argument("--out", required=True)
 
     di = sub.add_parser("distinguish", help="run the distinguishing experiment")
-    di.add_argument("--trials", type=int, default=100_000)
+    di.set_defaults(func=_cmd_distinguish)
+    di.add_argument("--trials", type=_at_least(MIN_TRIALS), default=100_000)
     di.add_argument("--mode", choices=MODES, default="hiding_vs_uniform")
     di.add_argument("--seed", type=int, default=0, help="experiment RNG seed")
 
     qk = sub.add_parser("qkd-demo", help="run a BB84 session")
-    qk.add_argument("--photons", type=int, default=1_000_000)
+    qk.set_defaults(func=_cmd_qkd)
+    qk.add_argument("--photons", type=_POSITIVE, default=1_000_000)
     qk.add_argument("--adversary", choices=["none", "intercept"], default="none")
     qk.add_argument("--alice-seed-hex")
     qk.add_argument("--bob-seed-hex")
     qk.add_argument("--eve-seed-hex")
 
     be = sub.add_parser("bench", help="measure generation throughput")
+    be.set_defaults(func=_cmd_bench)
     _add_seed_args(be)
-    be.add_argument("--bytes", type=int, default=100_000_000, dest="nbytes",
+    be.add_argument("--bytes", type=_POSITIVE, default=100_000_000, dest="nbytes",
                     help="bytes generated per run")
-    be.add_argument("--runs", type=int, default=5)
-    be.add_argument("--reseed-interval", type=int, default=0,
+    be.add_argument("--runs", type=_POSITIVE, default=5)
+    be.add_argument("--reseed-interval", type=_COUNT, default=0,
                     help="0 (default) benches the unreseeded stream")
     return ap
 
@@ -109,7 +138,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return _dispatch(args)
+        return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(ap.format_usage().strip(), file=sys.stderr)
@@ -119,46 +148,18 @@ def main(argv=None) -> int:
         return 2
 
 
-def _dispatch(args) -> int:
-    cmd = args.command
-    if cmd == "generate":
-        return _cmd_generate(args)
-    if cmd == "stats":
-        return _cmd_stats(args)
-    if cmd == "dieharder-dump":
-        return _cmd_dump(args)
-    if cmd == "scatter":
-        return _cmd_scatter(args)
-    if cmd == "distinguish":
-        return _cmd_distinguish(args)
-    if cmd == "qkd-demo":
-        return _cmd_qkd(args)
-    if cmd == "bench":
-        return _cmd_bench(args)
-    raise UsageError(f"unknown command {cmd!r}")
-
-
 def _cmd_generate(args) -> int:
     ent = _resolve_entropy(args.seed_hex, args.seed_file)
     gen = Generator(ent, reseed_interval=args.reseed_interval)
     if args.out:
-        with open(args.out, "wb") as fh:
-            _stream_out(gen, args.nbytes, fh)
+        dump_raw(gen, args.nbytes, args.out)
         return 0
     if sys.stdout.isatty() and not args.force:
         raise UsageError("refusing to write raw bytes to a terminal; "
                          "use --out or --force")
-    _stream_out(gen, args.nbytes, sys.stdout.buffer)
+    dump_raw(gen, args.nbytes, sys.stdout.buffer)
     sys.stdout.buffer.flush()
     return 0
-
-
-def _stream_out(gen, nbytes, fh, chunk=1 << 20):
-    left = nbytes
-    while left > 0:
-        take = min(chunk, left)
-        fh.write(gen.next_bytes(take))
-        left -= take
 
 
 def _cmd_stats(args) -> int:

@@ -43,10 +43,6 @@ _M32 = 0xFFFFFFFF
 
 
 def _check_geometry(params: Params) -> None:
-    if params.lfsr_count != 4:
-        raise DegenerateState("the register machine is defined for exactly 4 registers")
-    if params.word_bits != 32:
-        raise DegenerateState("the register machine is defined for 32-bit words")
     if params.lfsr_bits < params.word_bits or params.lfsr_bits % params.word_bits:
         raise DegenerateState("register width must be a whole number of words")
 
@@ -117,7 +113,7 @@ class LfsrBank:
             out_w += 3 * pos
             if trace is not None:
                 trace["shifts"].append((pos, l1o, l2o, l3o, fb1, fb2, fb3))
-        count = _popcount32(w)
+        count = w.bit_count()
         if count:
             cmask = (1 << count) - 1
             l4o = l4 & cmask
@@ -229,7 +225,3 @@ def format_trace_line(trace: dict) -> str:
         f"cursor={trace['cursor']} w={trace['word']:08x} [{shifts}] "
         f"l4:c={c}:o={l4o:x}:peak={peak:08x}:fb={fb4:x}"
     )
-
-
-def _popcount32(x: int) -> int:
-    return x.bit_count()

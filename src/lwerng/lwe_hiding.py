@@ -2,6 +2,10 @@
 pair behind the concealment hardness claim and an empirical distinguishing
 experiment with a falsifiable positive control.
 
+One ring serves all of it: `polyring`'s transforms run on a single ring
+element for `hide` and on whole chunks of trials for the experiment, and
+`_combine` adds error and payload to either.
+
 The payload bits r are recoverable only with the secret; in normal use the
 transcript (A, s, e, r) is discarded and only b leaves this module.
 """
@@ -12,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import polyring, vecring
+from . import polyring
 from .errors import DimensionMismatch, InsufficientTrials
 from .params import Params, default_params
 from .sampling import (
@@ -43,77 +47,57 @@ class HiddenSeed:
     transcript: Optional[Transcript] = None
 
 
-def hide(
-    ent: EntropyInput,
-    p: Params = None,
-    keep_transcript: bool = False,
-    _secret=None,
-    _error=None,
-    _payload=None,
-) -> HiddenSeed:
+def hide(ent: EntropyInput, p: Params = None,
+         keep_transcript: bool = False) -> HiddenSeed:
     """Conceal the payload derived from `ent` under the lattice sample.
 
     Deterministic in `ent`: matrix, secret, error (nonce 0) and payload all
-    expand from it under their domain labels.  The underscore keywords
-    override individual components for tests; production callers leave them
-    unset.
+    expand from it under their domain labels.
     """
     p = p or default_params()
     mat = expand_matrix(ent, p)
-    s = _secret if _secret is not None else sample_secret(ent, p)
-    e = _error if _error is not None else sample_error(ent, p, nonce=0)
-    r = _payload if _payload is not None else seed_payload(ent, p)
-    b = _combine(mat, s, e, r, p)
+    s = sample_secret(ent, p)
+    e = sample_error(ent, p, nonce=0)
+    r = seed_payload(ent, p)
+    # Python ints: initialize shifts coefficients far past 64 bits
+    b = _combine(polyring.mat_vec_mul(mat, s, p), e, r, p).tolist()
     transcript = Transcript(mat, s, e, r) if keep_transcript else None
     return HiddenSeed(b=b, params=p, transcript=transcript)
 
 
-def _combine(mat, s, e, r, p: Params) -> list:
-    if len(e) != len(mat) or len(r) != len(mat):
-        raise DimensionMismatch("error/payload length differs from matrix rows")
-    prod = polyring.mat_vec_mul(mat, s, p)
-    half_q = p.q // 2
-    return [
-        polyring.add(polyring.add(prod_i, e_i, p), polyring.scale(r_i, half_q, p), p)
-        for prod_i, e_i, r_i in zip(prod, e, r)
-    ]
+def _combine(prod, e, r, p: Params) -> np.ndarray:
+    """prod + e + r*floor(q/2) mod q, for arrays of any matching shape."""
+    if np.shape(e) != prod.shape or np.shape(r) != prod.shape:
+        raise DimensionMismatch("error/payload shape differs from the product")
+    return (prod + np.asarray(e) + np.asarray(r) * (p.q // 2)) % p.q
 
 
-def oracle_hiding(mat, s, rng: random.Random, p: Params = None, _error=None, _payload=None):
-    """One concealed sample (A, s, b) with fresh error and fresh uniform payload."""
+def oracle_hiding(mat, s, rng: random.Random, p: Params = None):
+    """One concealed sample (A, s, b) with fresh error and fresh uniform payload.
+
+    Error and payload come from the package samplers, keyed by 32 fresh
+    bytes of `rng`.
+    """
     p = p or default_params()
-    e = _error if _error is not None else _fresh_error(rng, p)
-    r = _payload if _payload is not None else _fresh_payload(rng, p)
-    return mat, s, _combine(mat, s, e, r, p)
+    ent = EntropyInput(rng.randbytes(32))
+    e = sample_error(ent, p)
+    b = _combine(polyring.mat_vec_mul(mat, s, p), e, seed_payload(ent, p), p)
+    return mat, s, b.tolist()
 
 
-def oracle_plain(mat, s, rng: random.Random, p: Params = None, _error=None):
+def oracle_plain(mat, s, rng: random.Random, p: Params = None):
     """One plain sample (A, s, b = A*s + e) with fresh error."""
     p = p or default_params()
-    e = _error if _error is not None else _fresh_error(rng, p)
-    zero_r = [[0] * p.degree for _ in range(p.m)]
-    return mat, s, _combine(mat, s, e, zero_r, p)
-
-
-def _fresh_error(rng: random.Random, p: Params) -> list:
-    out = []
-    for _ in range(p.m):
-        coeffs = []
-        for _ in range(p.degree):
-            a = bin(rng.getrandbits(p.eta)).count("1")
-            b = bin(rng.getrandbits(p.eta)).count("1")
-            coeffs.append((a - b) % p.q)
-        out.append(coeffs)
-    return out
-
-
-def _fresh_payload(rng: random.Random, p: Params) -> list:
-    return [[rng.getrandbits(1) for _ in range(p.degree)] for _ in range(p.m)]
+    e = sample_error(EntropyInput(rng.randbytes(32)), p)
+    prod = polyring.mat_vec_mul(mat, s, p)
+    return mat, s, _combine(prod, e, np.zeros_like(prod), p).tolist()
 
 
 # --- distinguishing experiment -------------------------------------------
 
 MODES = ("hiding_vs_uniform", "uniform_vs_uniform", "positive_control")
+
+MIN_TRIALS = 1000
 
 # median of the chi-square distribution with 15 degrees of freedom; the
 # threshold only has to be applied identically to both arms
@@ -167,13 +151,13 @@ def distinguishing_experiment(
     the advantage is |hit_rate_a - hit_rate_b| with a binomial sigma.
     """
     p = p or default_params()
-    if trials < 1000:
-        raise InsufficientTrials(f"trials={trials} < 1000")
+    if trials < MIN_TRIALS:
+        raise InsufficientTrials(f"trials={trials} < {MIN_TRIALS}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
 
     if mode == "positive_control":
-        hits_a, hits_b = _positive_control_hits(trials, p, seed)
+        hits_a, hits_b = _positive_control_hits(trials, p)
     else:
         hits_a, hits_b = _battery_hits(trials, p, mode, seed, chunk)
 
@@ -247,39 +231,43 @@ def _hiding_batch(rng, t: int, p: Params) -> np.ndarray:
     """
     q = p.q
     d = p.degree
-    s = (rng.integers(0, 2 * p.eta + 1, size=(t * p.n, d), dtype=np.int64) - p.eta) % q
-    s_hat = vecring.ntt_batch(s, p).reshape(t, p.n, d)
+    s = (rng.integers(0, 2 * p.eta + 1, size=(t, p.n, d), dtype=np.int64) - p.eta) % q
+    s_hat = polyring.ntt(s, p)
     b_hat = np.zeros((t, p.m, d), dtype=np.int64)
+    # Entries are drawn one at a time, row by row; that order fixes the
+    # output for a seed.  One accumulator lives across the rows: variants
+    # that freed it per row, or held a whole row of entries, ran the
+    # `distinguish` benchmark workload up to 20% slower (glibc heap trimming).
     for i in range(p.m):
         acc = np.zeros((t, d), dtype=np.int64)
         for j in range(p.n):
             a_ij = rng.integers(0, q, size=(t, d), dtype=np.int64)
-            acc += vecring.reduce_mod(a_ij * s_hat[:, j, :], q)
-        b_hat[:, i, :] = vecring.reduce_mod(acc, q)
-    b = vecring.intt_batch(b_hat.reshape(t * p.m, d), p)
-    e = rng.integers(0, 2, size=(t * p.m, d), dtype=np.int64) - rng.integers(
-        0, 2, size=(t * p.m, d), dtype=np.int64
+            acc += polyring.reduce_mod(a_ij * s_hat[:, j, :], q)
+        b_hat[:, i, :] = polyring.reduce_mod(acc, q)
+    b = polyring.inv_ntt(b_hat, p)
+    shape = (t, p.m, d)
+    e = rng.integers(0, 2, size=shape, dtype=np.int64) - rng.integers(
+        0, 2, size=shape, dtype=np.int64
     )
-    r = rng.integers(0, 2, size=(t * p.m, d), dtype=np.int64)
-    b = (b + e + r * (q // 2)) % q
-    return b.reshape(t, p.m * d)
+    r = rng.integers(0, 2, size=shape, dtype=np.int64)
+    return _combine(b, e, r, p).reshape(t, p.m * d)
 
 
-def _positive_control_hits(trials, p: Params, seed):
-    rng = random.Random(seed)
-    zero_mat = [[[0] * p.degree for _ in range(p.n)] for _ in range(p.m)]
-    zero_s = [[0] * p.degree for _ in range(p.n)]
-    zero_e = [[0] * p.degree for _ in range(p.m)]
-    ones_r = [[1] * p.degree for _ in range(p.m)]
-    hits_a = dict.fromkeys(_DISTINGUISHER_NAMES, 0)
-    hits_b = dict.fromkeys(_DISTINGUISHER_NAMES, 0)
-    for _ in range(trials):
-        _, _, b_hiding = oracle_hiding(zero_mat, zero_s, rng, p, _error=zero_e, _payload=ones_r)
-        _, _, b_plain = oracle_plain(zero_mat, zero_s, rng, p, _error=zero_e)
-        sample_a = np.array(b_hiding, dtype=np.int64).reshape(1, -1)
-        sample_b = np.array(b_plain, dtype=np.int64).reshape(1, -1)
-        for name, c in _distinguisher_hits(sample_a, p.q).items():
-            hits_a[name] += c
-        for name, c in _distinguisher_hits(sample_b, p.q).items():
-            hits_b[name] += c
-    return hits_a, hits_b
+def _positive_control_hits(trials, p: Params):
+    """Hits of the oracle pair on degenerate inputs: A = 0, s = 0, e = 0, r = 1.
+
+    Every trial is the same pair of samples, so one evaluation scaled by
+    `trials` gives the counts.
+    """
+    zero_mat = np.zeros((p.m, p.n, p.degree), dtype=np.int64)
+    zero_s = np.zeros((p.n, p.degree), dtype=np.int64)
+    prod = polyring.mat_vec_mul(zero_mat, zero_s, p)
+    zero_e = np.zeros_like(prod)
+    sample_a = _combine(prod, zero_e, np.ones_like(prod), p)  # hiding oracle
+    sample_b = _combine(prod, zero_e, zero_e, p)  # plain oracle
+    hits_a = _distinguisher_hits(sample_a.reshape(1, -1), p.q)
+    hits_b = _distinguisher_hits(sample_b.reshape(1, -1), p.q)
+    return (
+        {name: c * trials for name, c in hits_a.items()},
+        {name: c * trials for name, c in hits_b.items()},
+    )

@@ -7,6 +7,7 @@ coefficient words.  The 8192 serialized bits of one polynomial split into
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import ClassVar
 
 from .errors import InconsistentLayout, InvalidModulus
 
@@ -16,13 +17,12 @@ class Params:
     """Ring, sampling and register-layout constants.
 
     Attributes:
-        q: coefficient modulus; must satisfy q odd and q = 1 (mod 2*degree).
+        q: coefficient modulus; must satisfy q odd, q = 1 (mod 2*degree)
+            and q < 2^26.
         n: secret vector dimension.
         m: sample vector dimension.
         degree: polynomial degree (power of two).
-        word_bits: serialized width of one coefficient.
         eta: bound of the secret/error coefficients (support {-eta..eta}).
-        lfsr_count: number of shift registers (the machine is defined for 4).
         lfsr_bits: width of one register.
         state_bits: bits of the hidden seed consumed by the registers.
         mask_bits: bits of the hidden seed used as the whitening mask.
@@ -32,12 +32,14 @@ class Params:
     n: int = 4
     m: int = 4
     degree: int = 256
-    word_bits: int = 32
     eta: int = 1
-    lfsr_count: int = 4
     lfsr_bits: int = 256
     state_bits: int = 1024
     mask_bits: int = 7168
+
+    # fixed by the register machine and the serialization, not configurable
+    word_bits: ClassVar[int] = 32  # serialized width of one coefficient
+    lfsr_count: ClassVar[int] = 4  # number of shift registers
 
     @cached_property
     def k(self) -> int:
@@ -74,8 +76,8 @@ def validate(p: Params) -> None:
     """Check every parameter invariant; raise on the first violation.
 
     Raises:
-        InvalidModulus: q fails oddness, q = 1 (mod 2*degree), the word-width
-            bound q < 2^word_bits, or no 2*degree-th root exists.
+        InvalidModulus: q fails oddness, q = 1 (mod 2*degree), the bound
+            q < 2^26, or no 2*degree-th root exists.
         InconsistentLayout: register/mask/word bit budgets do not add up.
     """
     if p.q < 2 or p.q % 2 == 0:
@@ -84,8 +86,9 @@ def validate(p: Params) -> None:
         raise InvalidModulus(f"degree={p.degree} must be a power of two >= 2")
     if (p.q - 1) % (2 * p.degree) != 0:
         raise InvalidModulus(f"q={p.q} is not 1 mod {2 * p.degree}")
-    if p.q >= 1 << p.word_bits:
-        raise InvalidModulus(f"q={p.q} does not fit a {p.word_bits}-bit word")
+    if p.q >= 1 << 26:
+        # ring products stay below q^2 < 2^52, where reduce_mod is exact
+        raise InvalidModulus(f"q={p.q} is not below 2^26")
     if p.k * p.degree + 1 != p.q:
         raise InvalidModulus("k * degree + 1 != q")
     # existence of the root (guaranteed for prime q, not for composite)

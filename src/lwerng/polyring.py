@@ -1,26 +1,43 @@
-"""Arithmetic in R_q = Z_q[X]/(X^degree + 1).
+"""Arithmetic in R_q = Z_q[X]/(X^degree + 1) on int64 coefficient arrays.
 
-Polynomials are plain lists of ints, every coefficient reduced into [0, q).
-Multiplication runs through the negacyclic number-theoretic transform; a
-schoolbook routine is kept as the independent slow path.
+This is the package's one ring.  A polynomial is the last axis of an int64
+array, so an array of shape (..., degree) holds any batch of polynomials:
+one ring element in `hide`, a whole chunk of trials in the distinguishing
+experiment.  Every coefficient is reduced into [0, q).  Multiplication runs
+through the negacyclic number-theoretic transform, stage by stage over all
+leading axes at once.  All arithmetic is exact: `validate` keeps q below
+2^26, so every product stays within the 2^52 range of `reduce_mod`.
 
 Serialization is normative and bit-exact: word i of the output is
-coefficient i, packed as a little-endian word of `word_bits` bits, so bit
-32*i+j of the string is bit j of coefficient i.
+coefficient i, packed as a 32-bit little-endian word, so bit 32*i+j of the
+string is bit j of coefficient i.
 """
 
 import struct
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import CoefficientOutOfRange, DimensionMismatch
 from .params import Params
 
-Poly = list  # list[int] of length params.degree
+
+def reduce_mod(t: np.ndarray, q: int) -> np.ndarray:
+    """Exact t mod q for int64 t with |t| <= 2^52 (avoids int64 division)."""
+    quot = (t * (1.0 / q)).astype(np.int64)
+    r = t - quot * q
+    r += q * (r < 0)
+    r -= q * (r >= q)
+    return r
 
 
 @lru_cache(maxsize=None)
-def _tables(q: int, degree: int, psi: int):
-    """Transform tables: zetas[i] = psi^bitrev(i) mod q, plus degree^-1."""
+def _stage_tables(q: int, degree: int, psi: int):
+    """Per-stage (half, blocks, twiddles) for both transforms, plus degree^-1.
+
+    The twiddles are zetas[i] = psi^bitrev(i) mod q, consumed upward by the
+    forward stages and downward by the inverse stages.
+    """
     bits = degree.bit_length() - 1
     zetas = []
     for i in range(degree):
@@ -30,143 +47,92 @@ def _tables(q: int, degree: int, psi: int):
             r = (r << 1) | (x & 1)
             x >>= 1
         zetas.append(pow(psi, r, q))
-    return tuple(zetas), pow(degree, -1, q)
-
-
-def zero(p: Params) -> Poly:
-    return [0] * p.degree
-
-
-def one(p: Params) -> Poly:
-    f = [0] * p.degree
-    f[0] = 1
-    return f
-
-
-def monomial(p: Params, k: int, c: int = 1) -> Poly:
-    """c * X^k as a ring element (k reduced with the sign flip of X^degree = -1)."""
-    f = [0] * p.degree
-    if k // p.degree % 2:
-        c = -c
-    f[k % p.degree] = c % p.q
-    return f
-
-
-def add(a: Poly, b: Poly, p: Params) -> Poly:
-    return [(x + y) % p.q for x, y in zip(a, b)]
-
-
-def sub(a: Poly, b: Poly, p: Params) -> Poly:
-    return [(x - y) % p.q for x, y in zip(a, b)]
-
-
-def neg(a: Poly, p: Params) -> Poly:
-    return [-x % p.q for x in a]
-
-
-def scale(a: Poly, c: int, p: Params) -> Poly:
-    return [x * c % p.q for x in a]
-
-
-def ntt(a: Poly, p: Params) -> Poly:
-    """Forward negacyclic transform (bijection on R_q)."""
-    q = p.q
-    zetas, _ = _tables(q, p.degree, p.psi)
-    f = list(a)
-    half = p.degree // 2
+    fwd = []
+    half = degree // 2
     wi = 0
     while half > 0:
-        for start in range(0, p.degree, 2 * half):
-            wi += 1
-            z = zetas[wi]
-            for j in range(start, start + half):
-                x = f[j]
-                y = f[j + half] * z % q
-                f[j] = (x + y) % q
-                f[j + half] = (x - y) % q
+        nb = degree // (2 * half)
+        zs = np.array(zetas[wi + 1 : wi + 1 + nb], dtype=np.int64).reshape(nb, 1)
+        wi += nb
+        fwd.append((half, nb, zs))
         half >>= 1
-    return f
-
-
-def inv_ntt(a: Poly, p: Params) -> Poly:
-    """Inverse of ntt(); inv_ntt(ntt(x)) == x."""
-    q = p.q
-    zetas, ninv = _tables(q, p.degree, p.psi)
-    f = list(a)
+    inv = []
     half = 1
-    wi = p.degree
-    while half < p.degree:
-        for start in range(0, p.degree, 2 * half):
-            wi -= 1
-            z = zetas[wi]
-            for j in range(start, start + half):
-                x = f[j]
-                y = f[j + half]
-                f[j] = (x + y) % q
-                f[j + half] = z * (y - x) % q
+    wi = degree
+    while half < degree:
+        nb = degree // (2 * half)
+        zs = np.array(zetas[wi - nb : wi][::-1], dtype=np.int64).reshape(nb, 1)
+        wi -= nb
+        inv.append((half, nb, zs))
         half <<= 1
-    return [v * ninv % q for v in f]
+    return fwd, inv, pow(degree, -1, q)
 
 
-def pointwise(a: Poly, b: Poly, p: Params) -> Poly:
-    return [x * y % p.q for x, y in zip(a, b)]
+def ntt(a, p: Params) -> np.ndarray:
+    """Forward negacyclic transform of every polynomial in a (..., degree) array."""
+    fwd, _, _ = _stage_tables(p.q, p.degree, p.psi)
+    q = p.q
+    out = np.array(a, dtype=np.int64)
+    for half, nb, zs in fwd:
+        x = out.reshape(-1, nb, 2, half)
+        f0 = x[:, :, 0, :].copy()
+        t = reduce_mod(x[:, :, 1, :] * zs, q)
+        hi = f0 + t
+        hi -= q * (hi >= q)
+        lo = f0 - t
+        lo += q * (lo < 0)
+        x[:, :, 0, :] = hi
+        x[:, :, 1, :] = lo
+    return out
 
 
-def mul(a: Poly, b: Poly, p: Params) -> Poly:
-    """Product in R_q via ntt/pointwise/inv_ntt; equals schoolbook_mul exactly."""
-    return inv_ntt(pointwise(ntt(a, p), ntt(b, p), p), p)
+def inv_ntt(a, p: Params) -> np.ndarray:
+    """Inverse of ntt(); inv_ntt(ntt(x)) == x."""
+    _, inv, ninv = _stage_tables(p.q, p.degree, p.psi)
+    q = p.q
+    out = np.array(a, dtype=np.int64)
+    for half, nb, zs in inv:
+        x = out.reshape(-1, nb, 2, half)
+        f0 = x[:, :, 0, :].copy()
+        f1 = x[:, :, 1, :]
+        s = f0 + f1
+        s -= q * (s >= q)
+        x[:, :, 0, :] = s
+        x[:, :, 1, :] = reduce_mod((f1 - f0) * zs, q)
+    return reduce_mod(out * ninv, q)
 
 
-def schoolbook_mul(a: Poly, b: Poly, p: Params) -> Poly:
-    """O(degree^2) negacyclic product, the slow reference path."""
-    d = p.degree
-    acc = [0] * (2 * d)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            acc[i + j] += ai * bj
-    return [(acc[i] - acc[i + d]) % p.q for i in range(d)]
+def mat_vec_mul(mat, vec, p: Params) -> np.ndarray:
+    """Matrix-vector product over R_q: entry i is sum_j mat[i][j] * vec[j].
 
-
-def mat_vec_mul(mat: list, vec: list, p: Params) -> list:
-    """Matrix-vector product over R_q: entry i is sum_j mat[i][j] * vec[j]."""
+    One transform per input polynomial and one inverse per output row.
+    Returns an (m, degree) array.
+    """
     if any(len(row) != len(vec) for row in mat):
         raise DimensionMismatch(
             f"matrix rows of width {[len(r) for r in mat]} vs vector of {len(vec)}"
         )
     vec_hat = [ntt(s, p) for s in vec]
-    out = []
-    for row in mat:
-        acc = [0] * p.degree
-        for a_ij, s_hat in zip((ntt(e, p) for e in row), vec_hat):
-            for idx in range(p.degree):
-                acc[idx] = (acc[idx] + a_ij[idx] * s_hat[idx]) % p.q
-        out.append(inv_ntt(acc, p))
+    out = np.zeros((len(mat), p.degree), dtype=np.int64)
+    for i, row in enumerate(mat):
+        acc = np.zeros(p.degree, dtype=np.int64)
+        for a, s_hat in zip(row, vec_hat):
+            acc += reduce_mod(ntt(a, p) * s_hat, p.q)
+        out[i] = inv_ntt(reduce_mod(acc, p.q), p)
     return out
 
 
-def serialize(a: Poly, p: Params) -> bytes:
-    """Pack the polynomial into degree * word_bits bits (little-endian words)."""
-    if p.word_bits == 32:
-        return struct.pack("<%dI" % p.degree, *a)
-    acc = 0
-    for i, c in enumerate(a):
-        acc |= c << (i * p.word_bits)
-    return acc.to_bytes(p.degree * p.word_bits // 8, "little")
+def serialize(a, p: Params) -> bytes:
+    """Pack the polynomial into degree 32-bit little-endian words."""
+    return struct.pack("<%dI" % p.degree, *a)
 
 
-def deserialize(raw: bytes, p: Params) -> Poly:
+def deserialize(raw: bytes, p: Params) -> list:
     """Inverse of serialize(); every decoded word must be < q."""
-    nbytes = p.degree * p.word_bits // 8
+    nbytes = 4 * p.degree
     if len(raw) != nbytes:
         raise CoefficientOutOfRange(f"expected {nbytes} bytes, got {len(raw)}")
-    if p.word_bits == 32:
-        coeffs = list(struct.unpack("<%dI" % p.degree, raw))
-    else:
-        acc = int.from_bytes(raw, "little")
-        w = (1 << p.word_bits) - 1
-        coeffs = [(acc >> (i * p.word_bits)) & w for i in range(p.degree)]
+    coeffs = list(struct.unpack("<%dI" % p.degree, raw))
     for i, c in enumerate(coeffs):
         if c >= p.q:
             raise CoefficientOutOfRange(f"word {i} = {c} >= q = {p.q}")

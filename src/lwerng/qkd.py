@@ -63,7 +63,6 @@ def run_session(
     adversary: Optional[str] = None,
     ent_eve: Optional[EntropyInput] = None,
     params: Params = None,
-    _force_equal_bases: bool = False,
 ) -> QkdSession:
     """One full session: preparation, channel, measurement, sifting, QBER.
 
@@ -87,7 +86,7 @@ def run_session(
     alice_bits = pairs[0::2]
     alice_bases = pairs[1::2]
 
-    bob_bases = alice_bases.copy() if _force_equal_bases else _draw_bits(gen_bob, n_photons)
+    bob_bases = _draw_bits(gen_bob, n_photons)
 
     if adversary == "intercept_resend":
         gen_eve = Generator(ent_eve, params)

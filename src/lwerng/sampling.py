@@ -147,8 +147,8 @@ def sample_error(ent: EntropyInput, p: Params = None, nonce: int = 0) -> list:
     for _ in range(p.m):
         coeffs = []
         for _ in range(p.degree):
-            a = _popcount(reader.read_bits(p.eta))
-            b = _popcount(reader.read_bits(p.eta))
+            a = reader.read_bits(p.eta).bit_count()
+            b = reader.read_bits(p.eta).bit_count()
             coeffs.append((a - b) % p.q)
         out.append(coeffs)
     return out
@@ -165,7 +165,3 @@ def derive_reseed_entropy(ent: EntropyInput, generation: int) -> EntropyInput:
     """Entropy for reseed epoch `generation` (>= 1), from the original input."""
     label = bytes([LABEL_RESEED]) + generation.to_bytes(8, "big")
     return EntropyInput(XofStream(ent, label).read(SEED_BYTES))
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")

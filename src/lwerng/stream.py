@@ -68,8 +68,3 @@ class Generator:
         ent = derive_reseed_entropy(self._ent, self.generation)
         self.bank = initialize(hide(ent, self.params))
         self.bits_emitted = 0
-
-
-def new_generator(ent: EntropyInput, params: Params = None,
-                  reseed_interval: int = DEFAULT_RESEED_INTERVAL) -> Generator:
-    return Generator(ent, params, reseed_interval)

@@ -17,8 +17,7 @@ def params():
 @pytest.fixture(scope="session")
 def toy_params():
     """q=257, degree 4, m=n=2; ring-only toy (register geometry unused)."""
-    p = Params(q=257, n=2, m=2, degree=4, word_bits=32, lfsr_count=4,
-               lfsr_bits=8, state_bits=32, mask_bits=96)
+    p = Params(q=257, n=2, m=2, degree=4, lfsr_bits=8, state_bits=32, mask_bits=96)
     validate(p)
     return p
 
@@ -26,8 +25,7 @@ def toy_params():
 @pytest.fixture(scope="session")
 def tiny_params():
     """q=17, degree 4 ring for hand-checkable arithmetic."""
-    p = Params(q=17, n=2, m=2, degree=4, word_bits=32, lfsr_count=4,
-               lfsr_bits=8, state_bits=32, mask_bits=96)
+    p = Params(q=17, n=2, m=2, degree=4, lfsr_bits=8, state_bits=32, mask_bits=96)
     validate(p)
     return p
 

@@ -11,6 +11,19 @@ import numpy as np
 
 # --- ring oracles ----------------------------------------------------------
 
+def one(degree):
+    return [1] + [0] * (degree - 1)
+
+
+def monomial(degree, q, k, c=1):
+    """c * X^k as a ring element (k reduced with the sign flip of X^degree = -1)."""
+    f = [0] * degree
+    if k // degree % 2:
+        c = -c
+    f[k % degree] = c % q
+    return f
+
+
 def conv_negacyclic(a, b, q):
     """Negacyclic product via full convolution and fold with the sign flip."""
     n = len(a)

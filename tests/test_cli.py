@@ -154,6 +154,26 @@ def test_dump_io_error_exits_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--seed-hex", SEED, "--bytes", "-5", "--out", "{out}"],
+    ["generate", "--seed-hex", SEED, "--reseed-interval", "-1", "--out", "{out}"],
+    ["dieharder-dump", "--seed-hex", SEED, "--bytes", "-5", "--out", "{out}"],
+    ["scatter", "--seed-hex", SEED, "--count", "0", "--out", "{out}"],
+    ["stats", "--seed-hex", SEED, "--bits", "10"],
+    ["distinguish", "--trials", "10"],
+    ["qkd-demo", "--photons", "0", "--alice-seed-hex", SEED, "--bob-seed-hex", SEED2],
+    ["bench", "--seed-hex", SEED, "--runs", "0"],
+    ["bench", "--seed-hex", SEED, "--bytes", "0"],
+])
+def test_bad_count_exits_1(argv, tmp_path, capsys):
+    out = tmp_path / "out.bin"
+    code, stdout, err = run([str(out) if a == "{out}" else a for a in argv], capsys)
+    assert code == 1
+    assert "must be >=" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_bench_command(capsys):
     code, out, _ = run(["bench", "--seed-hex", SEED, "--bytes", "200000",
                         "--runs", "2"], capsys)

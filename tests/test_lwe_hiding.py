@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from lwerng import polyring as pr
-from lwerng import vecring
 from lwerng.errors import DimensionMismatch, InsufficientTrials
 from lwerng.lwe_hiding import (
+    _combine,
+    _hiding_batch,
     distinguishing_experiment,
     hide,
     oracle_hiding,
     oracle_plain,
 )
-from lwerng.sampling import expand_matrix, sample_secret
+from lwerng.sampling import EntropyInput, expand_matrix, sample_secret, seed_payload
 
 from conftest import fixed_ent
 from oracles import conv_negacyclic, hide_oracle, loop_mat_vec
@@ -37,24 +38,6 @@ def test_transcript_absent_by_default(ent_zero, params):
 def test_designated_polynomial_serializes_to_8192_bits(ent_zero, params):
     hs = hide(ent_zero, params)
     assert len(pr.serialize(hs.b[0], params)) * 8 == 8192
-
-
-def test_forced_zero_secret_and_error(ent_zero, params):
-    zero_vec_n = [[0] * params.degree for _ in range(params.n)]
-    zero_vec_m = [[0] * params.degree for _ in range(params.m)]
-    hs = hide(ent_zero, params, keep_transcript=True,
-              _secret=zero_vec_n, _error=zero_vec_m)
-    half = params.q // 2
-    expected = [[c * half % params.q for c in poly] for poly in hs.transcript.payload]
-    assert hs.b == expected
-
-
-def test_forced_zero_payload_and_error(ent_zero, params):
-    zero_vec_m = [[0] * params.degree for _ in range(params.m)]
-    hs = hide(ent_zero, params, keep_transcript=True,
-              _error=zero_vec_m, _payload=zero_vec_m)
-    prod = pr.mat_vec_mul(hs.transcript.matrix, hs.transcript.secret, params)
-    assert hs.b == prod
 
 
 def test_toy_hide_matches_schoolbook_oracle(toy_params):
@@ -117,10 +100,10 @@ def test_oracle_hiding_residual_structure(toy_params):
     mat = expand_matrix(fixed_ent(3), toy_params)
     s = sample_secret(fixed_ent(3), toy_params)
     prod = loop_mat_vec(mat, s, q)
+    twin = random.Random(8)  # replays the oracle's entropy draws
     for _ in range(20):
-        payload = [[rng.getrandbits(1) for _ in range(toy_params.degree)]
-                   for _ in range(toy_params.m)]
-        _, _, b = oracle_hiding(mat, s, rng, toy_params, _payload=payload)
+        payload = seed_payload(EntropyInput(twin.randbytes(32)), toy_params)
+        _, _, b = oracle_hiding(mat, s, rng, toy_params)
         for b_i, p_i, r_i in zip(b, prod, payload):
             for c, pc, rc in zip(b_i, p_i, r_i):
                 residual = centered((c - pc - rc * (q // 2)) % q, q)
@@ -140,31 +123,34 @@ def test_oracle_plain_residual_structure(toy_params):
                 assert centered((c - pc) % q, q) in (-1, 0, 1)
 
 
-def test_oracle_forced_zero_error(toy_params):
-    rng = random.Random(10)
-    mat = expand_matrix(fixed_ent(5), toy_params)
-    s = sample_secret(fixed_ent(5), toy_params)
-    zero_e = [[0] * toy_params.degree for _ in range(toy_params.m)]
-    _, _, b = oracle_plain(mat, s, rng, toy_params, _error=zero_e)
-    assert b == pr.mat_vec_mul(mat, s, toy_params)
-
-
 def test_combine_dimension_mismatch(toy_params):
-    rng = random.Random(11)
     mat = expand_matrix(fixed_ent(6), toy_params)
     s = sample_secret(fixed_ent(6), toy_params)
-    short_e = [[0] * toy_params.degree]
+    prod = pr.mat_vec_mul(mat, s, toy_params)
+    short = [[0] * toy_params.degree]
     with pytest.raises(DimensionMismatch):
-        oracle_hiding(mat, s, rng, toy_params, _error=short_e)
+        _combine(prod, short, np.zeros_like(prod), toy_params)
+    with pytest.raises(DimensionMismatch):
+        _combine(prod, np.zeros_like(prod), short, toy_params)
 
 
 def test_vectorized_ring_agrees_with_polyring(params):
+    # the experiment's batched concealment, replayed one sample at a time:
+    # same draws, matrix mapped out of the transform domain, then mat_vec_mul
+    t, q, d = 3, params.q, params.degree
+    batch = _hiding_batch(np.random.default_rng(3), t, params)
     rng = np.random.default_rng(3)
-    batch = rng.integers(0, params.q, size=(8, params.degree), dtype=np.int64)
-    fwd = vecring.ntt_batch(batch, params)
-    for row_in, row_out in zip(batch, fwd):
-        assert pr.ntt([int(c) for c in row_in], params) == [int(c) for c in row_out]
-    assert np.array_equal(vecring.intt_batch(fwd, params), batch)
+    s = (rng.integers(0, 3, size=(t, params.n, d), dtype=np.int64) - 1) % q
+    a_hat = [[rng.integers(0, q, size=(t, d), dtype=np.int64) for _ in range(params.n)]
+             for _ in range(params.m)]
+    shape = (t, params.m, d)
+    e = rng.integers(0, 2, size=shape) - rng.integers(0, 2, size=shape)
+    r = rng.integers(0, 2, size=shape)
+    for k in range(t):
+        mat = [[pr.inv_ntt(entry[k], params) for entry in row] for row in a_hat]
+        prod = pr.mat_vec_mul(mat, s[k], params)
+        expected = (prod + e[k] + r[k] * (q // 2)) % q
+        assert np.array_equal(batch[k], expected.ravel())
 
 
 def test_marginal_uniformity_of_hidden_coefficient(params):
@@ -174,17 +160,15 @@ def test_marginal_uniformity_of_hidden_coefficient(params):
     chunk = 10_000
     rng = np.random.default_rng(4)
     s = sample_secret(fixed_ent(7), params)
-    s_hat = vecring.ntt_batch(
-        np.array(s, dtype=np.int64).reshape(params.n, params.degree), params
-    )
+    s_hat = pr.ntt(s, params)
     assert all((row != 0).any() for row in s_hat)  # transform-invertible enough
     coeff0 = []
     for _ in range(trials // chunk):
         acc = np.zeros((chunk, params.degree), dtype=np.int64)
         for j in range(params.n):
             a_j = rng.integers(0, params.q, size=(chunk, params.degree), dtype=np.int64)
-            acc += vecring.reduce_mod(a_j * s_hat[j], params.q)
-        b = vecring.intt_batch(vecring.reduce_mod(acc, params.q), params)
+            acc += pr.reduce_mod(a_j * s_hat[j], params.q)
+        b = pr.inv_ntt(pr.reduce_mod(acc, params.q), params)
         coeff0.append(b[:, 0])
     bins = np.bincount(np.concatenate(coeff0) * 64 // params.q, minlength=64)
     from scipy.stats import chisquare

@@ -60,13 +60,6 @@ def test_oversized_modulus_rejected():
         validate(Params(q=(1 << 33) + 513 * 512 + 1 - ((1 << 33) % 512)))
 
 
-def test_word_width_bound():
-    # q just over the 8-bit word bound with otherwise consistent layout
-    with pytest.raises(InvalidModulus):
-        validate(Params(q=257, degree=4, word_bits=8, lfsr_bits=8,
-                        state_bits=32, mask_bits=0))
-
-
 def test_layout_identities_enforced():
     with pytest.raises(InconsistentLayout):
         validate(Params(state_bits=2048))  # 4 x 256 != 2048
@@ -82,3 +75,10 @@ def test_budget_identity(params):
 
 def test_default_params_cached():
     assert default_params() is default_params()
+
+
+def test_modulus_bound_keeps_ring_exact():
+    # both primes are 1 mod 512; int64 ring products stay exact only below 2^26
+    with pytest.raises(InvalidModulus):
+        validate(Params(q=67118593))  # smallest such prime above 2^26
+    validate(Params(q=67104769))  # largest such prime below 2^26

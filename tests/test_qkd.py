@@ -3,6 +3,7 @@ import pytest
 
 from lwerng.errors import IdenticalSeeds
 from lwerng.qkd import QkdSession, run_session
+from lwerng.stream import Generator
 
 from conftest import fixed_ent
 
@@ -45,9 +46,20 @@ def test_intercept_resend_qber():
 
 
 def test_single_photon_forced_equal_bases():
-    session = run_session(ALICE, BOB, 1, _force_equal_bases=True)
-    assert session.sifted_alice.size == 1
-    assert session.qber == 0.0
+    # Bob seeds are tried in a fixed order until one draws Alice's basis
+    # and one draws the other basis; both single-photon outcomes occur
+    sessions = {}
+    for tag in range(100, 140):
+        session = run_session(ALICE, fixed_ent(tag), 1)
+        sessions.setdefault(int(session.sifted_alice.size), session)
+        if len(sessions) == 2:
+            break
+    equal, unequal = sessions[1], sessions[0]
+    assert equal.bob_bases[0] == equal.alice_bases[0]
+    assert equal.bob_results[0] == equal.alice_bits[0]
+    assert equal.qber == 0.0
+    assert unequal.bob_bases[0] != unequal.alice_bases[0]
+    assert unequal.qber == 0.0
 
 
 def test_session_deterministic():
@@ -75,8 +87,15 @@ def test_summary_and_csv():
 
 
 def test_wrong_basis_results_from_bob_generator():
-    # with forced-equal bases Bob never draws result bits, so his sifted key
-    # is bit-identical to Alice's even on long runs
-    session = run_session(ALICE, BOB, 50_000, _force_equal_bases=True)
-    assert session.sift_fraction == 1.0
-    assert np.array_equal(session.alice_bits, session.bob_results)
+    # Bob's stream holds his n bases, then one result bit per wrong-basis
+    # photon in photon order; matching-basis photons read Alice's bit
+    n = 50_000  # a whole number of bytes, so the result bits start at bit n
+    session = run_session(ALICE, BOB, n)
+    wrong = session.bob_bases != session.alice_bases
+    stream = np.unpackbits(
+        np.frombuffer(Generator(BOB).next_bytes(2 * n // 8), dtype=np.uint8),
+        bitorder="little",
+    )
+    assert np.array_equal(session.bob_bases, stream[:n])
+    assert np.array_equal(session.bob_results[wrong], stream[n : n + wrong.sum()])
+    assert np.array_equal(session.bob_results[~wrong], session.alice_bits[~wrong])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lwerng.sampling import EntropyInput
-from lwerng.stream import DEFAULT_RESEED_INTERVAL, Generator, new_generator
+from lwerng.stream import DEFAULT_RESEED_INTERVAL, Generator
 
 from conftest import fixed_ent
 
