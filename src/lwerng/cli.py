@@ -126,8 +126,9 @@ def _build_parser():
     be.add_argument("--bytes", type=_POSITIVE, default=100_000_000, dest="nbytes",
                     help="bytes generated per run")
     be.add_argument("--runs", type=_POSITIVE, default=5)
-    be.add_argument("--reseed-interval", type=_COUNT, default=0,
-                    help="0 (default) benches the unreseeded stream")
+    be.add_argument("--reseed-interval", type=_COUNT, default=DEFAULT_RESEED_INTERVAL,
+                    help="bits between automatic reseeds, 0 benches the "
+                         "unreseeded stream")
     return ap
 
 
@@ -222,11 +223,13 @@ def _cmd_bench(args) -> int:
     for i, rate in enumerate(rates):
         print(f"run {i + 1}: {rate:.3f} Mbit/s")
     print(f"median: {statistics.median(rates):.3f} Mbit/s "
-          f"({args.nbytes} bytes/run, single-threaded)")
+          f"({args.nbytes} bytes/run, reseed interval {args.reseed_interval} bits, "
+          "single-threaded)")
     return 0
 
 
-def bench_rates(ent, nbytes, runs, reseed_interval=0, chunk=1 << 16):
+def bench_rates(ent, nbytes, runs, reseed_interval=DEFAULT_RESEED_INTERVAL,
+                chunk=1 << 16):
     """Wall-clock generation rates in Mbit/s (decimal), one per run."""
     rates = []
     for _ in range(runs):

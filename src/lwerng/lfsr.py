@@ -145,6 +145,9 @@ class LfsrBank:
         mask_bits = self.params.mask_bits
         while buflen < nbits:
             if self.regs[3] == 0:
+                # keep the bits already stepped out for a later, smaller read
+                self._buf = buf
+                self._buflen = buflen
                 raise DegenerateState("master register is all-zero; stream exhausted")
             v, w = self._step(None)
             if w:

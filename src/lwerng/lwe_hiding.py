@@ -242,15 +242,18 @@ def _hiding_batch(rng, t: int, p: Params) -> np.ndarray:
         acc = np.zeros((t, d), dtype=np.int64)
         for j in range(p.n):
             a_ij = rng.integers(0, q, size=(t, d), dtype=np.int64)
-            acc += polyring.reduce_mod(a_ij * s_hat[:, j, :], q)
-        b_hat[:, i, :] = polyring.reduce_mod(acc, q)
+            acc += a_ij * s_hat[:, j, :] % q
+        b_hat[:, i, :] = acc % q
     b = polyring.inv_ntt(b_hat, p)
     shape = (t, p.m, d)
-    e = rng.integers(0, 2, size=shape, dtype=np.int64) - rng.integers(
-        0, 2, size=shape, dtype=np.int64
-    )
+    e = _binomial(rng, shape, p.eta) - _binomial(rng, shape, p.eta)
     r = rng.integers(0, 2, size=shape, dtype=np.int64)
     return _combine(b, e, r, p).reshape(t, p.m * d)
+
+
+def _binomial(rng, shape, eta: int) -> np.ndarray:
+    """Sums of eta fair bits, one per entry of `shape`."""
+    return rng.integers(0, 2, size=shape + (eta,), dtype=np.int64).sum(axis=-1)
 
 
 def _positive_control_hits(trials, p: Params):

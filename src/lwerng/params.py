@@ -87,7 +87,8 @@ def validate(p: Params) -> None:
     if (p.q - 1) % (2 * p.degree) != 0:
         raise InvalidModulus(f"q={p.q} is not 1 mod {2 * p.degree}")
     if p.q >= 1 << 26:
-        # ring products stay below q^2 < 2^52, where reduce_mod is exact
+        # products of reduced coefficients stay below 2^52, which leaves int64
+        # headroom for the ring's lazy reduction (see polyring)
         raise InvalidModulus(f"q={p.q} is not below 2^26")
     if p.k * p.degree + 1 != p.q:
         raise InvalidModulus("k * degree + 1 != q")

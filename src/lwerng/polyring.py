@@ -5,8 +5,9 @@ array, so an array of shape (..., degree) holds any batch of polynomials:
 one ring element in `hide`, a whole chunk of trials in the distinguishing
 experiment.  Every coefficient is reduced into [0, q).  Multiplication runs
 through the negacyclic number-theoretic transform, stage by stage over all
-leading axes at once.  All arithmetic is exact: `validate` keeps q below
-2^26, so every product stays within the 2^52 range of `reduce_mod`.
+leading axes at once.  All arithmetic is exact int64: `validate` keeps q
+below 2^26, so a product of two reduced coefficients is below 2^52, and the
+lazily reduced values below stay far from 2^63.
 
 Serialization is normative and bit-exact: word i of the output is
 coefficient i, packed as a 32-bit little-endian word, so bit 32*i+j of the
@@ -20,15 +21,6 @@ import numpy as np
 
 from .errors import CoefficientOutOfRange, DimensionMismatch
 from .params import Params
-
-
-def reduce_mod(t: np.ndarray, q: int) -> np.ndarray:
-    """Exact t mod q for int64 t with |t| <= 2^52 (avoids int64 division)."""
-    quot = (t * (1.0 / q)).astype(np.int64)
-    r = t - quot * q
-    r += q * (r < 0)
-    r -= q * (r >= q)
-    return r
 
 
 @lru_cache(maxsize=None)
@@ -69,56 +61,69 @@ def _stage_tables(q: int, degree: int, psi: int):
 
 
 def ntt(a, p: Params) -> np.ndarray:
-    """Forward negacyclic transform of every polynomial in a (..., degree) array."""
+    """Forward negacyclic transform of every polynomial in a (..., degree) array.
+
+    Reduction is lazy: each butterfly reduces only its twiddle product, so a
+    stage raises the bound on the entries by q.  Inputs in [0, q) stay below
+    (log2(degree) + 1) * q < 2^31 (degree <= 2^24 for q < 2^26), twiddle
+    products below 2^57, and one final % q brings the output into [0, q).
+    """
     fwd, _, _ = _stage_tables(p.q, p.degree, p.psi)
     q = p.q
-    out = np.array(a, dtype=np.int64)
+    out = np.array(a, dtype=np.int64, order="C")
     for half, nb, zs in fwd:
         x = out.reshape(-1, nb, 2, half)
-        f0 = x[:, :, 0, :].copy()
-        t = reduce_mod(x[:, :, 1, :] * zs, q)
-        hi = f0 + t
-        hi -= q * (hi >= q)
-        lo = f0 - t
-        lo += q * (lo < 0)
-        x[:, :, 0, :] = hi
-        x[:, :, 1, :] = lo
-    return out
+        lo = x[:, :, 0, :]
+        hi = x[:, :, 1, :]
+        t = hi * zs % q
+        np.subtract(lo + q, t, out=hi)
+        lo += t
+    return out % q
 
 
 def inv_ntt(a, p: Params) -> np.ndarray:
     """Inverse of ntt(); inv_ntt(ntt(x)) == x."""
     _, inv, ninv = _stage_tables(p.q, p.degree, p.psi)
     q = p.q
-    out = np.array(a, dtype=np.int64)
+    out = np.array(a, dtype=np.int64, order="C")
     for half, nb, zs in inv:
         x = out.reshape(-1, nb, 2, half)
-        f0 = x[:, :, 0, :].copy()
-        f1 = x[:, :, 1, :]
-        s = f0 + f1
-        s -= q * (s >= q)
-        x[:, :, 0, :] = s
-        x[:, :, 1, :] = reduce_mod((f1 - f0) * zs, q)
-    return reduce_mod(out * ninv, q)
+        lo = x[:, :, 0, :]
+        hi = x[:, :, 1, :]
+        t = (hi - lo) * zs % q
+        lo += hi
+        lo %= q
+        hi[...] = t
+    return out * ninv % q
+
+
+# A product of two reduced coefficients is below 2^52, so an int64
+# accumulator holds 2^11 of them before it has to be reduced.
+_LAZY_TERMS = 1 << 11
 
 
 def mat_vec_mul(mat, vec, p: Params) -> np.ndarray:
     """Matrix-vector product over R_q: entry i is sum_j mat[i][j] * vec[j].
 
-    One transform per input polynomial and one inverse per output row.
+    One transform per input polynomial and one inverse per output row.  The
+    transform-domain products of a row are summed unreduced, with one
+    reduction per row (and per _LAZY_TERMS products in very wide rows).
     Returns an (m, degree) array.
     """
     if any(len(row) != len(vec) for row in mat):
         raise DimensionMismatch(
             f"matrix rows of width {[len(r) for r in mat]} vs vector of {len(vec)}"
         )
+    q = p.q
     vec_hat = [ntt(s, p) for s in vec]
     out = np.zeros((len(mat), p.degree), dtype=np.int64)
     for i, row in enumerate(mat):
         acc = np.zeros(p.degree, dtype=np.int64)
-        for a, s_hat in zip(row, vec_hat):
-            acc += reduce_mod(ntt(a, p) * s_hat, p.q)
-        out[i] = inv_ntt(reduce_mod(acc, p.q), p)
+        for j, (a, s_hat) in enumerate(zip(row, vec_hat), 1):
+            acc += ntt(a, p) * s_hat
+            if j % _LAZY_TERMS == 0:
+                acc %= q
+        out[i] = inv_ntt(acc % q, p)
     return out
 
 

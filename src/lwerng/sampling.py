@@ -16,6 +16,8 @@ bytes LSB-first: the first bit read from a byte is its bit 0.
 import hashlib
 from dataclasses import dataclass
 
+import numpy as np
+
 from .params import Params, default_params
 
 SEED_BYTES = 32
@@ -42,6 +44,10 @@ class EntropyInput:
         return cls(bytes.fromhex(s))
 
 
+def _xof(ent: EntropyInput, label: bytes):
+    return hashlib.shake_256(ent.data + label)
+
+
 class XofStream:
     """Single-use deterministic byte stream keyed by entropy || label.
 
@@ -50,7 +56,7 @@ class XofStream:
     """
 
     def __init__(self, ent: EntropyInput, label: bytes):
-        self._h = hashlib.shake_256(ent.data + label)
+        self._h = _xof(ent, label)
         self._buf = b""
         self._pos = 0
 
@@ -64,27 +70,30 @@ class XofStream:
         return out
 
 
-class _BitReader:
-    """LSB-first bit cursor over an XofStream."""
+def _bits(raw: bytes) -> np.ndarray:
+    """The bits of `raw` in stream order: byte by byte, LSB-first within each."""
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
 
-    def __init__(self, stream: XofStream):
-        self._stream = stream
-        self._byte = 0
-        self._left = 0
 
-    def read_bits(self, k: int) -> int:
-        out = 0
-        got = 0
-        while got < k:
-            if self._left == 0:
-                self._byte = self._stream.read(1)[0]
-                self._left = 8
-            take = min(k - got, self._left)
-            out |= (self._byte & ((1 << take) - 1)) << got
-            self._byte >>= take
-            self._left -= take
-            got += take
-        return out
+def _accepted(xofs, width: int, keep: int, bound: int, need: int) -> np.ndarray:
+    """Per XOF, the first `need` values below `bound`; an (len(xofs), need) array.
+
+    Each value is a width-bit LSB-first field of the digest cut to its low
+    `keep` bits.  The first read covers the expected number of draws plus
+    slack; a digest that yields too few values is read again at twice the
+    length.  A shorter shake_256 digest is a prefix of every longer one, so
+    the values equal those of a reader that takes one field at a time.
+    """
+    draws = (need << keep) // bound + need // 16
+    draws += -draws % 8  # whole bytes per digest: no field straddles two XOFs
+    weights = 1 << np.arange(keep, dtype=np.int64)
+    while True:
+        raw = b"".join(x.digest(draws * width // 8) for x in xofs)
+        fields = _bits(raw).reshape(len(xofs), draws, width)[:, :, :keep] @ weights
+        ok = fields < bound
+        if ok.sum(axis=1).min() >= need:
+            return fields[ok & (ok.cumsum(axis=1) <= need)].reshape(len(xofs), need)
+        draws *= 2
 
 
 def expand_matrix(ent: EntropyInput, p: Params = None) -> list:
@@ -96,21 +105,9 @@ def expand_matrix(ent: EntropyInput, p: Params = None) -> list:
     """
     p = p or default_params()
     bits = p.q.bit_length()
-    nbytes = (bits + 7) // 8
-    mask = (1 << bits) - 1
-    rows = []
-    for i in range(p.m):
-        row = []
-        for j in range(p.n):
-            stream = XofStream(ent, bytes([LABEL_MATRIX, i, j]))
-            coeffs = []
-            while len(coeffs) < p.degree:
-                v = int.from_bytes(stream.read(nbytes), "little") & mask
-                if v < p.q:
-                    coeffs.append(v)
-            row.append(coeffs)
-        rows.append(row)
-    return rows
+    xofs = [_xof(ent, bytes([LABEL_MATRIX, i, j])) for i in range(p.m) for j in range(p.n)]
+    coeffs = _accepted(xofs, 8 * ((bits + 7) // 8), bits, p.q, p.degree)
+    return coeffs.reshape(p.m, p.n, p.degree).tolist()
 
 
 def sample_secret(ent: EntropyInput, p: Params = None) -> list:
@@ -120,18 +117,9 @@ def sample_secret(ent: EntropyInput, p: Params = None) -> list:
     2-bit reads with the single pattern 3 rejected.
     """
     p = p or default_params()
-    reader = _BitReader(XofStream(ent, bytes([LABEL_SECRET])))
     k = (2 * p.eta).bit_length()
-    limit = 2 * p.eta
-    out = []
-    for _ in range(p.n):
-        coeffs = []
-        while len(coeffs) < p.degree:
-            v = reader.read_bits(k)
-            if v <= limit:
-                coeffs.append((v - p.eta) % p.q)
-        out.append(coeffs)
-    return out
+    v = _accepted([_xof(ent, bytes([LABEL_SECRET]))], k, k, 2 * p.eta + 1, p.n * p.degree)
+    return ((v - p.eta) % p.q).reshape(p.n, p.degree).tolist()
 
 
 def sample_error(ent: EntropyInput, p: Params = None, nonce: int = 0) -> list:
@@ -141,24 +129,19 @@ def sample_error(ent: EntropyInput, p: Params = None, nonce: int = 0) -> list:
     P(0) = 1/2 and P(+-1) = 1/4 on support {-1, 0, 1}.
     """
     p = p or default_params()
-    label = bytes([LABEL_ERROR]) + nonce.to_bytes(2, "big")
-    reader = _BitReader(XofStream(ent, label))
-    out = []
-    for _ in range(p.m):
-        coeffs = []
-        for _ in range(p.degree):
-            a = reader.read_bits(p.eta).bit_count()
-            b = reader.read_bits(p.eta).bit_count()
-            coeffs.append((a - b) % p.q)
-        out.append(coeffs)
-    return out
+    nbits = 2 * p.eta * p.m * p.degree
+    xof = _xof(ent, bytes([LABEL_ERROR]) + nonce.to_bytes(2, "big"))
+    bits = _bits(xof.digest((nbits + 7) // 8))[:nbits]
+    ab = bits.reshape(p.m, p.degree, 2, p.eta).sum(axis=-1, dtype=np.int64)
+    return ((ab[..., 0] - ab[..., 1]) % p.q).tolist()
 
 
 def seed_payload(ent: EntropyInput, p: Params = None) -> list:
     """Binary payload: m polynomials with coefficients in {0, 1}, one bit each."""
     p = p or default_params()
-    reader = _BitReader(XofStream(ent, bytes([LABEL_PAYLOAD])))
-    return [[reader.read_bits(1) for _ in range(p.degree)] for _ in range(p.m)]
+    nbits = p.m * p.degree
+    raw = _xof(ent, bytes([LABEL_PAYLOAD])).digest((nbits + 7) // 8)
+    return _bits(raw)[:nbits].reshape(p.m, p.degree).tolist()
 
 
 def derive_reseed_entropy(ent: EntropyInput, generation: int) -> EntropyInput:

@@ -1,12 +1,95 @@
 """Independent reference implementations used as test oracles.
 
 Nothing here shares code paths with the package: ring products use numpy
-convolution or nested loops, and the register machine is re-derived from
-the normative rules on explicit bit lists (index 0 = LSB) instead of big
-integers.
+convolution or nested loops, the samplers read their SHAKE-256 streams one
+field at a time, and the register machine is re-derived from the normative
+rules on explicit bit lists (index 0 = LSB) instead of big integers.
 """
 
+import hashlib
+
 import numpy as np
+
+
+# --- sampler oracles ---------------------------------------------------------
+
+class BitReader:
+    """LSB-first bit cursor over the SHAKE-256 stream of entropy || label."""
+
+    def __init__(self, ent, label):
+        self._shake = hashlib.shake_256(ent.data + label)
+        self._buf = b""
+        self._pos = 0
+        self._byte = 0
+        self._left = 0
+
+    def read_bits(self, k):
+        out = 0
+        got = 0
+        while got < k:
+            if self._left == 0:
+                if self._pos == len(self._buf):
+                    self._buf = self._shake.digest(2 * len(self._buf) + 64)
+                self._byte = self._buf[self._pos]
+                self._pos += 1
+                self._left = 8
+            take = min(k - got, self._left)
+            out |= (self._byte & ((1 << take) - 1)) << got
+            self._byte >>= take
+            self._left -= take
+            got += take
+        return out
+
+
+def ref_expand_matrix(ent, p):
+    bits = p.q.bit_length()
+    nbytes = (bits + 7) // 8
+    mask = (1 << bits) - 1
+    rows = []
+    for i in range(p.m):
+        row = []
+        for j in range(p.n):
+            reader = BitReader(ent, bytes([0x00, i, j]))
+            coeffs = []
+            while len(coeffs) < p.degree:
+                v = reader.read_bits(8 * nbytes) & mask
+                if v < p.q:
+                    coeffs.append(v)
+            row.append(coeffs)
+        rows.append(row)
+    return rows
+
+
+def ref_sample_secret(ent, p):
+    reader = BitReader(ent, bytes([0x01]))
+    k = (2 * p.eta).bit_length()
+    out = []
+    for _ in range(p.n):
+        coeffs = []
+        while len(coeffs) < p.degree:
+            v = reader.read_bits(k)
+            if v <= 2 * p.eta:
+                coeffs.append((v - p.eta) % p.q)
+        out.append(coeffs)
+    return out
+
+
+def ref_sample_error(ent, p, nonce):
+    reader = BitReader(ent, bytes([0x02]) + nonce.to_bytes(2, "big"))
+    out = []
+    for _ in range(p.m):
+        coeffs = []
+        for _ in range(p.degree):
+            a = reader.read_bits(p.eta).bit_count()
+            b = reader.read_bits(p.eta).bit_count()
+            coeffs.append((a - b) % p.q)
+        out.append(coeffs)
+    return out
+
+
+def ref_seed_payload(ent, p):
+    reader = BitReader(ent, bytes([0x03]))
+    return [[reader.read_bits(1) for _ in range(p.degree)] for _ in range(p.m)]
 
 
 # --- ring oracles ----------------------------------------------------------

@@ -200,6 +200,18 @@ def test_emit_from_zero_master_raises(params):
         bank.emit_bits(8)
 
 
+def test_degenerate_emit_keeps_buffered_bits(params):
+    # one step empties the master: its 4 raw bits are buffered before the raise
+    state = dict(params=params, regs=(3, 0, 0, 1), mask=0)
+    raw_v, raw_w = LfsrBank.from_state(**state).step()
+    assert raw_w == 4
+    bank = LfsrBank.from_state(**state)
+    with pytest.raises(DegenerateState):
+        bank.emit_bits(100)
+    assert bank.regs[3] == 0
+    assert bank.emit_bits(4) == raw_v
+
+
 def test_mask_cursor_wraps(params):
     rng = random.Random(109)
     coeffs = [rng.getrandbits(32) % params.q for _ in range(256)]

@@ -5,6 +5,7 @@ import pytest
 
 from lwerng import polyring as pr
 from lwerng.errors import DimensionMismatch, InsufficientTrials
+from lwerng.params import Params, validate
 from lwerng.lwe_hiding import (
     _combine,
     _hiding_batch,
@@ -134,23 +135,47 @@ def test_combine_dimension_mismatch(toy_params):
         _combine(prod, np.zeros_like(prod), short, toy_params)
 
 
-def test_vectorized_ring_agrees_with_polyring(params):
-    # the experiment's batched concealment, replayed one sample at a time:
-    # same draws, matrix mapped out of the transform domain, then mat_vec_mul
-    t, q, d = 3, params.q, params.degree
-    batch = _hiding_batch(np.random.default_rng(3), t, params)
-    rng = np.random.default_rng(3)
-    s = (rng.integers(0, 3, size=(t, params.n, d), dtype=np.int64) - 1) % q
-    a_hat = [[rng.integers(0, q, size=(t, d), dtype=np.int64) for _ in range(params.n)]
-             for _ in range(params.m)]
-    shape = (t, params.m, d)
-    e = rng.integers(0, 2, size=shape) - rng.integers(0, 2, size=shape)
+def replay_hiding_batch(seed, t, p, draw_error):
+    """_hiding_batch's t samples rebuilt one at a time from the same draws.
+
+    The matrix is mapped out of the transform domain and goes through
+    mat_vec_mul; draw_error(rng, shape) replays the error draw.
+    """
+    q, d = p.q, p.degree
+    rng = np.random.default_rng(seed)
+    s = (rng.integers(0, 2 * p.eta + 1, size=(t, p.n, d), dtype=np.int64) - p.eta) % q
+    a_hat = [[rng.integers(0, q, size=(t, d), dtype=np.int64) for _ in range(p.n)]
+             for _ in range(p.m)]
+    shape = (t, p.m, d)
+    e = draw_error(rng, shape)
     r = rng.integers(0, 2, size=shape)
+    samples = []
     for k in range(t):
-        mat = [[pr.inv_ntt(entry[k], params) for entry in row] for row in a_hat]
-        prod = pr.mat_vec_mul(mat, s[k], params)
-        expected = (prod + e[k] + r[k] * (q // 2)) % q
-        assert np.array_equal(batch[k], expected.ravel())
+        mat = [[pr.inv_ntt(entry[k], p) for entry in row] for row in a_hat]
+        prod = pr.mat_vec_mul(mat, s[k], p)
+        samples.append(((prod + e[k] + r[k] * (q // 2)) % q).ravel())
+    return np.array(samples)
+
+
+def test_vectorized_ring_agrees_with_polyring(params):
+    batch = _hiding_batch(np.random.default_rng(3), 3, params)
+    expected = replay_hiding_batch(
+        3, 3, params,
+        lambda rng, shape: rng.integers(0, 2, size=shape) - rng.integers(0, 2, size=shape))
+    assert np.array_equal(batch, expected)
+
+
+def test_vectorized_error_follows_eta():
+    # at eta = 2 each error coefficient is two bits minus two bits
+    p = Params(eta=2)
+    validate(p)
+
+    def binomial_2(rng, shape):
+        return (rng.integers(0, 2, size=shape + (2,)).sum(axis=-1)
+                - rng.integers(0, 2, size=shape + (2,)).sum(axis=-1))
+
+    batch = _hiding_batch(np.random.default_rng(4), 3, p)
+    assert np.array_equal(batch, replay_hiding_batch(4, 3, p, binomial_2))
 
 
 def test_marginal_uniformity_of_hidden_coefficient(params):
@@ -167,8 +192,8 @@ def test_marginal_uniformity_of_hidden_coefficient(params):
         acc = np.zeros((chunk, params.degree), dtype=np.int64)
         for j in range(params.n):
             a_j = rng.integers(0, params.q, size=(chunk, params.degree), dtype=np.int64)
-            acc += pr.reduce_mod(a_j * s_hat[j], params.q)
-        b = pr.inv_ntt(pr.reduce_mod(acc, params.q), params)
+            acc += a_j * s_hat[j] % params.q
+        b = pr.inv_ntt(acc % params.q, params)
         coeff0.append(b[:, 0])
     bins = np.bincount(np.concatenate(coeff0) * 64 // params.q, minlength=64)
     from scipy.stats import chisquare

@@ -16,7 +16,7 @@ def rand_poly(rng, p):
 
 def mul(a, b, p):
     """Ring product through the package transforms."""
-    return pr.inv_ntt(pr.reduce_mod(pr.ntt(a, p) * pr.ntt(b, p), p.q), p).tolist()
+    return pr.inv_ntt(pr.ntt(a, p) * pr.ntt(b, p) % p.q, p).tolist()
 
 
 def test_ntt_roundtrip_fullsize(params):
@@ -173,3 +173,32 @@ def test_mul_exact_at_largest_modulus():
         a = [p.q - 1 - rng.randrange(8) for _ in range(p.degree)]
         b = [p.q - 1 - rng.randrange(8) for _ in range(p.degree)]
         assert mul(a, b, p) == loop_negacyclic(a, b, p.q)
+
+
+def near_max_hat(rng, p):
+    """A polynomial whose transform has every entry within 8 of q - 1."""
+    return pr.inv_ntt([p.q - 1 - rng.randrange(8) for _ in range(p.degree)], p).tolist()
+
+
+def test_mat_vec_exact_at_largest_modulus():
+    # near-maximal coefficients feed the lazy transform large entries, and a
+    # secret with a near-maximal transform makes the unreduced row sums large
+    p = Params(q=67104769)
+    validate(p)
+    rng = random.Random(24)
+    mat = [[[p.q - 1 - rng.randrange(8) for _ in range(p.degree)] for _ in range(p.n)]
+           for _ in range(p.m)]
+    s = [near_max_hat(rng, p) for _ in range(p.n)]
+    assert pr.mat_vec_mul(mat, s, p).tolist() == loop_mat_vec(mat, s, p.q)
+
+
+def test_mat_vec_wide_row_reduces_in_chunks():
+    # 2049 transform-domain products near (q - 1)^2 sum past 2^63 unless the
+    # row is reduced part way
+    p = Params(q=67104769, n=2049, m=1, degree=2, lfsr_bits=8, state_bits=32,
+               mask_bits=32)
+    validate(p)
+    rng = random.Random(25)
+    mat = [[near_max_hat(rng, p) for _ in range(p.n)]]
+    s = [near_max_hat(rng, p) for _ in range(p.n)]
+    assert pr.mat_vec_mul(mat, s, p).tolist() == loop_mat_vec(mat, s, p.q)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from lwerng import sampling
+from lwerng.params import Params, validate
 from lwerng.sampling import (
     EntropyInput,
     XofStream,
@@ -13,6 +15,7 @@ from lwerng.sampling import (
 )
 
 from conftest import fixed_ent
+from oracles import ref_expand_matrix, ref_sample_error, ref_sample_secret, ref_seed_payload
 
 
 def test_entropy_input_length_checked():
@@ -154,3 +157,44 @@ def test_reseed_derivation_distinct(ent_zero):
     e2 = derive_reseed_entropy(ent_zero, 2)
     assert e1 != e2 and e1 != ent_zero
     assert derive_reseed_entropy(ent_zero, 1) == e1
+
+
+@pytest.mark.parametrize("which", ["params", "toy_params", "eta2", "eta3"])
+def test_samplers_match_sequential_reference(which, request):
+    # eta = 2 and 3 accept 5/8 and 7/8 of the 3-bit secret reads
+    p = {"eta2": Params(eta=2), "eta3": Params(eta=3)}.get(which)
+    if p is None:
+        p = request.getfixturevalue(which)
+    validate(p)
+    for tag in range(4000, 4006):
+        ent = fixed_ent(tag)
+        assert expand_matrix(ent, p) == ref_expand_matrix(ent, p)
+        assert sample_secret(ent, p) == ref_sample_secret(ent, p)
+        for nonce in (0, 1, 7):
+            assert sample_error(ent, p, nonce) == ref_sample_error(ent, p, nonce)
+        assert seed_payload(ent, p) == ref_seed_payload(ent, p)
+
+
+def test_short_digest_is_read_again(toy_params, monkeypatch):
+    # at q = 257 about half the matrix draws are rejected, so some entries
+    # run short of their first digest and are read again at a longer length
+    reads = {}
+    xof = sampling._xof
+
+    class Recording:
+        def __init__(self, ent, label):
+            self._xof = xof(ent, label)
+            self._label = label
+
+        def digest(self, n):
+            reads.setdefault(self._label, []).append(n)
+            return self._xof.digest(n)
+
+    monkeypatch.setattr(sampling, "_xof", Recording)
+    reread = 0
+    for tag in range(4000, 4006):
+        reads.clear()
+        ent = fixed_ent(tag)
+        assert expand_matrix(ent, toy_params) == ref_expand_matrix(ent, toy_params)
+        reread += sum(len(lengths) > 1 for lengths in reads.values())
+    assert reread > 0
