@@ -10,7 +10,7 @@ class InvalidModulus(LwerngError):
 
 
 class InconsistentLayout(LwerngError):
-    """Bit-budget identities between register, mask and word layout fail."""
+    """A parameter-set dimension (n, m or eta) is not positive."""
 
 
 class DimensionMismatch(LwerngError):

@@ -42,17 +42,11 @@ from .params import Params, default_params
 _M32 = 0xFFFFFFFF
 
 
-def _check_geometry(params: Params) -> None:
-    if params.lfsr_bits < params.word_bits or params.lfsr_bits % params.word_bits:
-        raise DegenerateState("register width must be a whole number of words")
-
-
 class LfsrBank:
     """Mutable register bank; exclusive access required while stepping."""
 
     def __init__(self, params: Params, regs, mask: int, coeff_cursor: int = 0,
                  mask_cursor: int = 0):
-        _check_geometry(params)
         self.params = params
         self.regs = list(regs)
         self.mask = mask
@@ -174,20 +168,20 @@ class LfsrBank:
         return out
 
 
-def initialize(hs: HiddenSeed, check_degenerate: bool = True) -> LfsrBank:
+def initialize(hs: HiddenSeed) -> LfsrBank:
     """Fill the bank from the designated polynomial (index 0) of the hidden seed.
 
     Consumes coefficients 0..31 as register words under the master-monitored
-    schedule and 32..255 as the whitening mask.  With check_degenerate, a
-    bank whose master register is zero (which could never emit) is rejected.
+    schedule and 32..255 as the whitening mask.  A polynomial that leaves no
+    mask words, or a bank whose master register is zero (which could never
+    emit), is rejected.
     """
     p = hs.params
-    _check_geometry(p)
+    if p.mask_bits <= 0:
+        raise DegenerateState("polynomial leaves no words for the whitening mask")
     coeffs = hs.b[0]
     words_per_reg = p.lfsr_bits // p.word_bits
-    state_words = p.lfsr_count * words_per_reg
-    if state_words > p.degree:
-        raise DegenerateState("polynomial too short to fill the registers")
+    state_words = p.state_bits // p.word_bits
 
     words = [[0] * words_per_reg for _ in range(4)]
     for reg in range(4):
@@ -212,7 +206,7 @@ def initialize(hs: HiddenSeed, check_degenerate: bool = True) -> LfsrBank:
     for i, c in enumerate(coeffs[state_words:]):
         mask |= c << (i * p.word_bits)
 
-    if check_degenerate and regs[3] == 0:
+    if regs[3] == 0:
         raise DegenerateState("master register filled with all zeros")
     return LfsrBank(p, regs, mask)
 

@@ -6,13 +6,13 @@ One ring serves all of it: `polyring`'s transforms run on a single ring
 element for `hide` and on whole chunks of trials for the experiment, and
 `_combine` adds error and payload to either.
 
-The payload bits r are recoverable only with the secret; in normal use the
-transcript (A, s, e, r) is discarded and only b leaves this module.
+The payload bits r are recoverable only with the secret.  `hide` discards
+A, s, e and r and returns only b; anyone holding the entropy input can
+redraw them with the public samplers, since `hide` is defined by them.
 """
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -29,26 +29,14 @@ from .sampling import (
 
 
 @dataclass
-class Transcript:
-    """Hiding internals, retained only when explicitly requested (tests)."""
-
-    matrix: list
-    secret: list
-    error: list
-    payload: list
-
-
-@dataclass
 class HiddenSeed:
     """The concealed seed b (m ring elements) and the parameter set used."""
 
     b: list
     params: Params
-    transcript: Optional[Transcript] = None
 
 
-def hide(ent: EntropyInput, p: Params = None,
-         keep_transcript: bool = False) -> HiddenSeed:
+def hide(ent: EntropyInput, p: Params = None) -> HiddenSeed:
     """Conceal the payload derived from `ent` under the lattice sample.
 
     Deterministic in `ent`: matrix, secret, error (nonce 0) and payload all
@@ -61,8 +49,7 @@ def hide(ent: EntropyInput, p: Params = None,
     r = seed_payload(ent, p)
     # Python ints: initialize shifts coefficients far past 64 bits
     b = _combine(polyring.mat_vec_mul(mat, s, p), e, r, p).tolist()
-    transcript = Transcript(mat, s, e, r) if keep_transcript else None
-    return HiddenSeed(b=b, params=p, transcript=transcript)
+    return HiddenSeed(b=b, params=p)
 
 
 def _combine(prod, e, r, p: Params) -> np.ndarray:

@@ -1,8 +1,11 @@
-"""Parameter sets: ring/lattice constants, their validity conditions and derived values.
+"""Parameter sets: lattice constants, their validity conditions and derived values.
 
-The default set is q = 8380417, m = n = 4, degree-256 polynomials with 32-bit
-coefficient words.  The 8192 serialized bits of one polynomial split into
-1024 register-fill bits (4 registers x 256 bits) and 7168 whitening-mask bits.
+A parameter set names only the lattice: q, n, m, degree and eta.  The default
+is q = 8380417, m = n = 4, degree-256 polynomials.  The register machine's
+layout is fixed: 32-bit coefficient words and 4 registers of 256 bits fill
+1024 state bits, and the rest of the designated polynomial's serialized bits
+(7168 at degree 256) are the whitening mask.  Every `Params` is validated
+when it is built.
 """
 
 from dataclasses import dataclass
@@ -14,7 +17,7 @@ from .errors import InconsistentLayout, InvalidModulus
 
 @dataclass(frozen=True)
 class Params:
-    """Ring, sampling and register-layout constants.
+    """Lattice constants; construction raises if `validate` rejects them.
 
     Attributes:
         q: coefficient modulus; must satisfy q odd, q = 1 (mod 2*degree)
@@ -23,9 +26,6 @@ class Params:
         m: sample vector dimension.
         degree: polynomial degree (power of two).
         eta: bound of the secret/error coefficients (support {-eta..eta}).
-        lfsr_bits: width of one register.
-        state_bits: bits of the hidden seed consumed by the registers.
-        mask_bits: bits of the hidden seed used as the whitening mask.
     """
 
     q: int = 8380417
@@ -33,13 +33,24 @@ class Params:
     m: int = 4
     degree: int = 256
     eta: int = 1
-    lfsr_bits: int = 256
-    state_bits: int = 1024
-    mask_bits: int = 7168
 
     # fixed by the register machine and the serialization, not configurable
     word_bits: ClassVar[int] = 32  # serialized width of one coefficient
     lfsr_count: ClassVar[int] = 4  # number of shift registers
+    lfsr_bits: ClassVar[int] = 256  # width of one register
+    state_bits: ClassVar[int] = 1024  # register-fill bits: lfsr_count * lfsr_bits
+
+    def __post_init__(self):
+        validate(self)
+
+    @cached_property
+    def mask_bits(self) -> int:
+        """Serialized bits of the designated polynomial left for the mask.
+
+        Zero or negative when the polynomial is too short to fill the
+        registers; `initialize` rejects such a set.
+        """
+        return self.degree * self.word_bits - self.state_bits
 
     @cached_property
     def k(self) -> int:
@@ -67,9 +78,7 @@ def _smallest_negacyclic_root(q: int, degree: int) -> int:
 
 @lru_cache(maxsize=1)
 def default_params() -> Params:
-    p = Params()
-    validate(p)
-    return p
+    return Params()
 
 
 def validate(p: Params) -> None:
@@ -78,7 +87,7 @@ def validate(p: Params) -> None:
     Raises:
         InvalidModulus: q fails oddness, q = 1 (mod 2*degree), the bound
             q < 2^26, or no 2*degree-th root exists.
-        InconsistentLayout: register/mask/word bit budgets do not add up.
+        InconsistentLayout: n, m or eta is not positive.
     """
     if p.q < 2 or p.q % 2 == 0:
         raise InvalidModulus(f"q={p.q} must be an odd integer >= 3")
@@ -98,12 +107,3 @@ def validate(p: Params) -> None:
         raise InvalidModulus(f"derived root {psi} is not a primitive 2*degree-th root")
     if p.n < 1 or p.m < 1 or p.eta < 1:
         raise InconsistentLayout("n, m and eta must be positive")
-    if p.lfsr_count * p.lfsr_bits != p.state_bits:
-        raise InconsistentLayout(
-            f"{p.lfsr_count} x {p.lfsr_bits} != state_bits={p.state_bits}"
-        )
-    if p.state_bits + p.mask_bits != p.degree * p.word_bits:
-        raise InconsistentLayout(
-            f"state {p.state_bits} + mask {p.mask_bits} != "
-            f"{p.degree * p.word_bits} serialized bits"
-        )

@@ -5,9 +5,10 @@ array, so an array of shape (..., degree) holds any batch of polynomials:
 one ring element in `hide`, a whole chunk of trials in the distinguishing
 experiment.  Every coefficient is reduced into [0, q).  Multiplication runs
 through the negacyclic number-theoretic transform, stage by stage over all
-leading axes at once.  All arithmetic is exact int64: `validate` keeps q
-below 2^26, so a product of two reduced coefficients is below 2^52, and the
-lazily reduced values below stay far from 2^63.
+leading axes at once.  All arithmetic is exact int64: every `Params` is
+validated when built, which keeps q below 2^26, so a product of two reduced
+coefficients is below 2^52, and the lazily reduced values below stay far
+from 2^63.
 
 Serialization is normative and bit-exact: word i of the output is
 coefficient i, packed as a 32-bit little-endian word, so bit 32*i+j of the

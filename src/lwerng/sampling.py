@@ -48,28 +48,6 @@ def _xof(ent: EntropyInput, label: bytes):
     return hashlib.shake_256(ent.data + label)
 
 
-class XofStream:
-    """Single-use deterministic byte stream keyed by entropy || label.
-
-    hashlib's shake objects squeeze a fixed length per digest() call, so the
-    stream re-squeezes with geometric growth and serves reads from a buffer.
-    """
-
-    def __init__(self, ent: EntropyInput, label: bytes):
-        self._h = _xof(ent, label)
-        self._buf = b""
-        self._pos = 0
-
-    def read(self, n: int) -> bytes:
-        end = self._pos + n
-        if end > len(self._buf):
-            size = max(1024, len(self._buf) * 2, end)
-            self._buf = self._h.digest(size)
-        out = self._buf[self._pos : end]
-        self._pos = end
-        return out
-
-
 def _bits(raw: bytes) -> np.ndarray:
     """The bits of `raw` in stream order: byte by byte, LSB-first within each."""
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
@@ -147,4 +125,4 @@ def seed_payload(ent: EntropyInput, p: Params = None) -> list:
 def derive_reseed_entropy(ent: EntropyInput, generation: int) -> EntropyInput:
     """Entropy for reseed epoch `generation` (>= 1), from the original input."""
     label = bytes([LABEL_RESEED]) + generation.to_bytes(8, "big")
-    return EntropyInput(XofStream(ent, label).read(SEED_BYTES))
+    return EntropyInput(_xof(ent, label).digest(SEED_BYTES))

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from lwerng.params import Params, default_params, validate
+from lwerng.params import Params, default_params
 from lwerng.sampling import EntropyInput
 
 
@@ -16,18 +16,14 @@ def params():
 
 @pytest.fixture(scope="session")
 def toy_params():
-    """q=257, degree 4, m=n=2; ring-only toy (register geometry unused)."""
-    p = Params(q=257, n=2, m=2, degree=4, lfsr_bits=8, state_bits=32, mask_bits=96)
-    validate(p)
-    return p
+    """q=257, degree 4, m=n=2; ring-only toy (too short to fill the registers)."""
+    return Params(q=257, n=2, m=2, degree=4)
 
 
 @pytest.fixture(scope="session")
 def tiny_params():
     """q=17, degree 4 ring for hand-checkable arithmetic."""
-    p = Params(q=17, n=2, m=2, degree=4, lfsr_bits=8, state_bits=32, mask_bits=96)
-    validate(p)
-    return p
+    return Params(q=17, n=2, m=2, degree=4)
 
 
 @pytest.fixture

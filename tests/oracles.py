@@ -3,12 +3,16 @@
 Nothing here shares code paths with the package: ring products use numpy
 convolution or nested loops, the samplers read their SHAKE-256 streams one
 field at a time, and the register machine is re-derived from the normative
-rules on explicit bit lists (index 0 = LSB) instead of big integers.
+rules on explicit bit lists (index 0 = LSB) instead of big integers.  The
+one exception is `hide_transcript`, which redraws what `hide` discards with
+the package samplers that define it (the `ref_*` samplers check those).
 """
 
 import hashlib
 
 import numpy as np
+
+from lwerng.sampling import expand_matrix, sample_error, sample_secret, seed_payload
 
 
 # --- sampler oracles ---------------------------------------------------------
@@ -156,6 +160,12 @@ def hide_oracle(mat, s, e, r, q):
         [(pi + ei + ri * half) % q for pi, ei, ri in zip(prow, erow, rrow)]
         for prow, erow, rrow in zip(prod, e, r)
     ]
+
+
+def hide_transcript(ent, p):
+    """(A, s, e, r) of `hide(ent, p)`, redrawn with the public samplers."""
+    return (expand_matrix(ent, p), sample_secret(ent, p), sample_error(ent, p, nonce=0),
+            seed_payload(ent, p))
 
 
 # --- register machine oracle ------------------------------------------------

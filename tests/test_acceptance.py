@@ -26,7 +26,7 @@ from lwerng.stats import run_battery, scatter_indexes
 from lwerng.stream import Generator
 
 from conftest import fixed_ent
-from oracles import conv_negacyclic, hide_oracle, loop_negacyclic
+from oracles import conv_negacyclic, hide_oracle, hide_transcript, loop_negacyclic
 
 ENT = EntropyInput(bytes(32))
 
@@ -106,23 +106,23 @@ def test_criterion_04_hiding_algebra(toy_params):
     half = p.q // 2
     hides = 1000
     for tag in range(hides):
-        hs = hide(fixed_ent(tag), p, keep_transcript=True)
-        t = hs.transcript
+        hs = hide(fixed_ent(tag), p)
+        mat, s, e, r = hide_transcript(fixed_ent(tag), p)
         for i in range(p.m):
             prod_i = np.zeros(p.degree, dtype=np.int64)
             for j in range(p.n):
-                prod_i += conv_negacyclic(t.matrix[i][j], t.secret[j], p.q)
+                prod_i += conv_negacyclic(mat[i][j], s[j], p.q)
             residue = (
                 np.array(hs.b[i], dtype=np.int64)
                 - prod_i
-                - np.array(t.error[i], dtype=np.int64)
-                - np.array(t.payload[i], dtype=np.int64) * half
+                - np.array(e[i], dtype=np.int64)
+                - np.array(r[i], dtype=np.int64) * half
             ) % p.q
             assert not residue.any(), f"replay residue nonzero at hide {tag} row {i}"
     for tag in range(50):
-        hs = hide(fixed_ent(tag), toy_params, keep_transcript=True)
-        t = hs.transcript
-        assert hs.b == hide_oracle(t.matrix, t.secret, t.error, t.payload, toy_params.q)
+        hs = hide(fixed_ent(tag), toy_params)
+        mat, s, e, r = hide_transcript(fixed_ent(tag), toy_params)
+        assert hs.b == hide_oracle(mat, s, e, r, toy_params.q)
     verdict(4, "hiding-algebra", True,
             f"{hides} transcript replays exact; 50 toy-ring hides match the oracle")
 

@@ -5,6 +5,7 @@ import pytest
 from lwerng.errors import DegenerateState
 from lwerng.lfsr import LfsrBank, format_trace_line, initialize
 from lwerng.lwe_hiding import HiddenSeed, hide
+from lwerng.params import Params
 
 from oracles import (
     bits_to_int,
@@ -46,7 +47,7 @@ def test_initialize_matches_reference(params):
     rng = random.Random(100)
     for _ in range(50):
         coeffs = [rng.getrandbits(32) % params.q for _ in range(256)]
-        bank = initialize(fake_seed(coeffs, params), check_degenerate=False)
+        bank = initialize(fake_seed(coeffs, params))
         oracle_regs, oracle_mask = ref_initialize(coeffs)
         assert bank.regs == regs_from_oracle(oracle_regs)
         assert bank.mask == bits_to_int(oracle_mask)
@@ -55,7 +56,7 @@ def test_initialize_matches_reference(params):
 def test_initialize_order_swap_branch(params):
     # x34 > x12 in round 1 sends the first two coefficients to L3, L4
     coeffs = [0, 0, 0, 1] + list(range(100, 128)) + [0] * 224
-    bank = initialize(fake_seed(coeffs, params), check_degenerate=False)
+    bank = initialize(fake_seed(coeffs, params))
     assert (bank.regs[2] >> 32) & 0xFFFFFFFF == 100  # L3 word 1
     assert (bank.regs[3] >> 32) & 0xFFFFFFFF == 101  # L4 word 1
     assert (bank.regs[0] >> 32) & 0xFFFFFFFF == 102  # L1 word 1
@@ -77,8 +78,6 @@ def test_all_zero_seed(params):
     zero = fake_seed([0] * 256, params)
     with pytest.raises(DegenerateState):
         initialize(zero)
-    bank = initialize(zero, check_degenerate=False)
-    assert bank.regs == [0, 0, 0, 0] and bank.mask == 0
 
 
 def test_zero_master_rejected(params):
@@ -87,6 +86,14 @@ def test_zero_master_rejected(params):
     coeffs = [1, 1, 0, 0] * 8 + [0] * 224
     with pytest.raises(DegenerateState):
         initialize(fake_seed(coeffs, params))
+
+
+def test_no_mask_words_rejected():
+    # degree 32 fills the four registers exactly and leaves no mask word
+    p = Params(q=193, degree=32)
+    with pytest.raises(DegenerateState):
+        initialize(fake_seed(range(1, 33), p))
+    assert p.mask_bits == 0
 
 
 def test_step_zero_word(params):
@@ -119,7 +126,7 @@ def test_step_matches_reference(params):
     rng = random.Random(102)
     for _ in range(20):
         coeffs = [rng.getrandbits(32) % params.q for _ in range(256)]
-        bank = initialize(fake_seed(coeffs, params), check_degenerate=False)
+        bank = initialize(fake_seed(coeffs, params))
         oracle_regs, _ = ref_initialize(coeffs)
         cursor = 0
         for _ in range(50):
@@ -187,7 +194,7 @@ def test_emit_matches_reference_whitening(params):
     rng = random.Random(108)
     for _ in range(5):
         coeffs = [rng.getrandbits(32) % params.q for _ in range(256)]
-        bank = initialize(fake_seed(coeffs, params), check_degenerate=False)
+        bank = initialize(fake_seed(coeffs, params))
         oracle_regs, oracle_mask = ref_initialize(coeffs)
         got = bank.emit_bits(4096)
         expected = ref_emit(oracle_regs, oracle_mask, 0, 0, 4096)

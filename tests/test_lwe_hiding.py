@@ -5,7 +5,7 @@ import pytest
 
 from lwerng import polyring as pr
 from lwerng.errors import DimensionMismatch, InsufficientTrials
-from lwerng.params import Params, validate
+from lwerng.params import Params
 from lwerng.lwe_hiding import (
     _combine,
     _hiding_batch,
@@ -17,7 +17,7 @@ from lwerng.lwe_hiding import (
 from lwerng.sampling import EntropyInput, expand_matrix, sample_secret, seed_payload
 
 from conftest import fixed_ent
-from oracles import conv_negacyclic, hide_oracle, loop_mat_vec
+from oracles import conv_negacyclic, hide_oracle, hide_transcript, loop_mat_vec
 
 
 def centered(c, q):
@@ -31,11 +31,6 @@ def test_hide_deterministic_1000_calls(ent_zero, params):
         assert again == first
 
 
-def test_transcript_absent_by_default(ent_zero, params):
-    assert hide(ent_zero, params).transcript is None
-    assert hide(ent_zero, params, keep_transcript=True).transcript is not None
-
-
 def test_designated_polynomial_serializes_to_8192_bits(ent_zero, params):
     hs = hide(ent_zero, params)
     assert len(pr.serialize(hs.b[0], params)) * 8 == 8192
@@ -43,26 +38,26 @@ def test_designated_polynomial_serializes_to_8192_bits(ent_zero, params):
 
 def test_toy_hide_matches_schoolbook_oracle(toy_params):
     for tag in range(20):
-        hs = hide(fixed_ent(tag), toy_params, keep_transcript=True)
-        t = hs.transcript
-        assert hs.b == hide_oracle(t.matrix, t.secret, t.error, t.payload, toy_params.q)
+        hs = hide(fixed_ent(tag), toy_params)
+        mat, s, e, r = hide_transcript(fixed_ent(tag), toy_params)
+        assert hs.b == hide_oracle(mat, s, e, r, toy_params.q)
 
 
 def test_transcript_replay_exact(params):
     # b - A*s - e - r*floor(q/2) == 0 with A*s recomputed independently
     half = params.q // 2
     for tag in range(10):
-        hs = hide(fixed_ent(tag), params, keep_transcript=True)
-        t = hs.transcript
+        hs = hide(fixed_ent(tag), params)
+        mat, s, e, r = hide_transcript(fixed_ent(tag), params)
         for i in range(params.m):
             prod_i = np.zeros(params.degree, dtype=np.int64)
             for j in range(params.n):
-                prod_i += conv_negacyclic(t.matrix[i][j], t.secret[j], params.q)
+                prod_i += conv_negacyclic(mat[i][j], s[j], params.q)
             residue = (
                 np.array(hs.b[i], dtype=np.int64)
                 - prod_i
-                - np.array(t.error[i], dtype=np.int64)
-                - np.array(t.payload[i], dtype=np.int64) * half
+                - np.array(e[i], dtype=np.int64)
+                - np.array(r[i], dtype=np.int64) * half
             ) % params.q
             assert not residue.any()
 
@@ -168,7 +163,6 @@ def test_vectorized_ring_agrees_with_polyring(params):
 def test_vectorized_error_follows_eta():
     # at eta = 2 each error coefficient is two bits minus two bits
     p = Params(eta=2)
-    validate(p)
 
     def binomial_2(rng, shape):
         return (rng.integers(0, 2, size=shape + (2,)).sum(axis=-1)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from lwerng.errors import InconsistentLayout, InvalidModulus
@@ -26,8 +28,7 @@ def _scan_smallest_root(q, degree):
 @pytest.mark.parametrize("q,degree", [(8380417, 256), (257, 4), (17, 4), (7681, 256)])
 def test_psi_is_smallest_negacyclic_root(q, degree):
     expected = _scan_smallest_root(q, degree)
-    p = Params(q=q, degree=degree, lfsr_bits=degree, state_bits=4 * degree,
-               mask_bits=degree * 32 - 4 * degree)
+    p = Params(q=q, degree=degree)
     assert p.psi == expected
     assert pow(p.psi, degree, q) == q - 1
     assert pow(p.psi, 2 * degree, q) == 1
@@ -39,38 +40,53 @@ def test_defaults_validate(params):
 
 def test_even_modulus_rejected():
     with pytest.raises(InvalidModulus):
-        validate(Params(q=8380416))
+        Params(q=8380416)
 
 
 def test_modulus_not_1_mod_2n_rejected():
     # 3329 - 1 = 3328 = 256 (mod 512), so no degree-256 negacyclic transform
     assert 3328 % 512 != 0
     with pytest.raises(InvalidModulus):
-        validate(Params(q=3329))
+        Params(q=3329)
 
 
 def test_modulus_7681_is_accepted():
     # 7680 = 15 * 512, i.e. 7681 = 1 (mod 512): a valid transform modulus
     assert 7680 % 512 == 0
-    validate(Params(q=7681))
+    Params(q=7681)
 
 
 def test_oversized_modulus_rejected():
     with pytest.raises(InvalidModulus):
-        validate(Params(q=(1 << 33) + 513 * 512 + 1 - ((1 << 33) % 512)))
+        Params(q=(1 << 33) + 513 * 512 + 1 - ((1 << 33) % 512))
 
 
 def test_layout_identities_enforced():
-    with pytest.raises(InconsistentLayout):
-        validate(Params(state_bits=2048))  # 4 x 256 != 2048
-    with pytest.raises(InconsistentLayout):
-        validate(Params(mask_bits=7167))  # 1024 + 7167 != 8192
+    # the register layout is fixed by the machine, not a constructor field
+    assert [f.name for f in fields(Params)] == ["q", "n", "m", "degree", "eta"]
+    with pytest.raises(TypeError):
+        Params(state_bits=2048)
+    with pytest.raises(TypeError):
+        Params(mask_bits=7167)
+
+
+def test_nonpositive_dimensions_rejected():
+    for bad in (dict(n=0), dict(m=0), dict(eta=0)):
+        with pytest.raises(InconsistentLayout):
+            Params(**bad)
 
 
 def test_budget_identity(params):
     assert params.degree * params.word_bits == 8192
+    assert (params.lfsr_bits, params.state_bits, params.mask_bits) == (256, 1024, 7168)
     assert params.state_bits + params.mask_bits == 8192
     assert params.lfsr_count * params.lfsr_bits == params.state_bits
+
+
+def test_invalid_set_rejected_at_construction():
+    # q = 1 (mod 512) but far above 2^26: int64 ring products would overflow
+    with pytest.raises(InvalidModulus):
+        Params(q=2147483137)
 
 
 def test_default_params_cached():
@@ -80,5 +96,5 @@ def test_default_params_cached():
 def test_modulus_bound_keeps_ring_exact():
     # both primes are 1 mod 512; int64 ring products stay exact only below 2^26
     with pytest.raises(InvalidModulus):
-        validate(Params(q=67118593))  # smallest such prime above 2^26
-    validate(Params(q=67104769))  # largest such prime below 2^26
+        Params(q=67118593)  # smallest such prime above 2^26
+    Params(q=67104769)  # largest such prime below 2^26

@@ -1,12 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
 from lwerng import sampling
-from lwerng.params import Params, validate
+from lwerng.params import Params
 from lwerng.sampling import (
     EntropyInput,
-    XofStream,
     derive_reseed_entropy,
     expand_matrix,
     sample_error,
@@ -26,19 +27,12 @@ def test_entropy_input_length_checked():
     assert EntropyInput.from_hex("00" * 32).data == bytes(32)
 
 
-def test_xof_stream_deterministic(ent_zero):
-    a = XofStream(ent_zero, b"\x07")
-    b = XofStream(ent_zero, b"\x07")
-    assert a.read(100) == b.read(100)
-    # chunked reads see the same stream, across the re-squeeze boundary too
-    d = XofStream(ent_zero, b"\x07")
-    assert d.read(33) + d.read(67) == XofStream(ent_zero, b"\x07").read(100)
-    e = XofStream(ent_zero, b"\x07")
-    assert e.read(1000) + e.read(5000) == XofStream(ent_zero, b"\x07").read(6000)
-
-
-def test_xof_labels_differ(ent_zero):
-    assert XofStream(ent_zero, b"\x00").read(64) != XofStream(ent_zero, b"\x01").read(64)
+def test_reseed_entropy_is_labelled_shake_digest(ent_zero, ent_one):
+    # label 0x04 || generation as 8 bytes big-endian, first 32 bytes of the XOF
+    for ent in (ent_zero, ent_one):
+        for g in (1, 2, 255, 256, 1 << 40):
+            expected = hashlib.shake_256(ent.data + b"\x04" + g.to_bytes(8, "big")).digest(32)
+            assert derive_reseed_entropy(ent, g).data == expected
 
 
 @pytest.mark.parametrize("sampler", [expand_matrix, sample_secret, seed_payload])
@@ -144,8 +138,8 @@ def test_payload_monobit_over_fixed_inputs(params):
 
 def test_domain_separation_cross_correlation(ent_zero):
     n_bits = 1_000_000
-    a = XofStream(ent_zero, b"\x01").read(n_bits // 8)
-    b = XofStream(ent_zero, b"\x03").read(n_bits // 8)
+    a = hashlib.shake_256(ent_zero.data + b"\x01").digest(n_bits // 8)
+    b = hashlib.shake_256(ent_zero.data + b"\x03").digest(n_bits // 8)
     xa = np.unpackbits(np.frombuffer(a, dtype=np.uint8)).astype(np.float64) * 2 - 1
     xb = np.unpackbits(np.frombuffer(b, dtype=np.uint8)).astype(np.float64) * 2 - 1
     corr = float((xa * xb).mean())
@@ -165,7 +159,6 @@ def test_samplers_match_sequential_reference(which, request):
     p = {"eta2": Params(eta=2), "eta3": Params(eta=3)}.get(which)
     if p is None:
         p = request.getfixturevalue(which)
-    validate(p)
     for tag in range(4000, 4006):
         ent = fixed_ent(tag)
         assert expand_matrix(ent, p) == ref_expand_matrix(ent, p)
