@@ -42,11 +42,17 @@ from .params import Params, default_params
 _M32 = 0xFFFFFFFF
 
 
+def _require_mask_words(p: Params) -> None:
+    if p.mask_bits <= 0:
+        raise DegenerateState("polynomial leaves no words for the whitening mask")
+
+
 class LfsrBank:
     """Mutable register bank; exclusive access required while stepping."""
 
     def __init__(self, params: Params, regs, mask: int, coeff_cursor: int = 0,
                  mask_cursor: int = 0):
+        _require_mask_words(params)
         self.params = params
         self.regs = list(regs)
         self.mask = mask
@@ -177,8 +183,7 @@ def initialize(hs: HiddenSeed) -> LfsrBank:
     emit), is rejected.
     """
     p = hs.params
-    if p.mask_bits <= 0:
-        raise DegenerateState("polynomial leaves no words for the whitening mask")
+    _require_mask_words(p)  # before the fill: a shorter polynomial cannot fill it
     coeffs = hs.b[0]
     words_per_reg = p.lfsr_bits // p.word_bits
     state_words = p.state_bits // p.word_bits

@@ -24,7 +24,7 @@ class Params:
             and q < 2^26.
         n: secret vector dimension.
         m: sample vector dimension.
-        degree: polynomial degree (power of two).
+        degree: polynomial degree (power of two, at most 2^10).
         eta: bound of the secret/error coefficients (support {-eta..eta}).
     """
 
@@ -84,15 +84,22 @@ def default_params() -> Params:
 def validate(p: Params) -> None:
     """Check every parameter invariant; raise on the first violation.
 
+    q < 2^26 and degree <= 2^10 keep the ring exact and each dense transform
+    matrix at 8 MiB at most: its float64 sums over 13-bit limbs stay below
+    2^49 (see polyring.ntt).
+
     Raises:
         InvalidModulus: q fails oddness, q = 1 (mod 2*degree), the bound
-            q < 2^26, or no 2*degree-th root exists.
+            q < 2^26, or no 2*degree-th root exists; or degree is not a
+            power of two in [2, 2^10].
         InconsistentLayout: n, m or eta is not positive.
     """
     if p.q < 2 or p.q % 2 == 0:
         raise InvalidModulus(f"q={p.q} must be an odd integer >= 3")
     if p.degree < 2 or p.degree & (p.degree - 1):
         raise InvalidModulus(f"degree={p.degree} must be a power of two >= 2")
+    if p.degree > 1 << 10:
+        raise InvalidModulus(f"degree={p.degree} is above 2^10")
     if (p.q - 1) % (2 * p.degree) != 0:
         raise InvalidModulus(f"q={p.q} is not 1 mod {2 * p.degree}")
     if p.q >= 1 << 26:

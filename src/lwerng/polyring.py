@@ -4,11 +4,13 @@ This is the package's one ring.  A polynomial is the last axis of an int64
 array, so an array of shape (..., degree) holds any batch of polynomials:
 one ring element in `hide`, a whole chunk of trials in the distinguishing
 experiment.  Every coefficient is reduced into [0, q).  Multiplication runs
-through the negacyclic number-theoretic transform, stage by stage over all
-leading axes at once.  All arithmetic is exact int64: every `Params` is
-validated when built, which keeps q below 2^26, so a product of two reduced
-coefficients is below 2^52, and the lazily reduced values below stay far
-from 2^63.
+through the negacyclic number-theoretic transform, applied as one dense
+degree x degree matrix product over all leading axes at once.  All
+arithmetic is exact: every `Params` is validated when built, which keeps q
+below 2^26 and degree at most 2^10.  The transforms' float64 products work
+on 13-bit limbs, so their sums stay below 2^49 (see `ntt`); in int64 a
+product of two reduced coefficients is below 2^52, and the lazily reduced
+row sums of `mat_vec_mul` stay below 2^63.
 
 Serialization is normative and bit-exact: word i of the output is
 coefficient i, packed as a 32-bit little-endian word, so bit 32*i+j of the
@@ -24,78 +26,57 @@ from .errors import CoefficientOutOfRange, DimensionMismatch
 from .params import Params
 
 
-@lru_cache(maxsize=None)
-def _stage_tables(q: int, degree: int, psi: int):
-    """Per-stage (half, blocks, twiddles) for both transforms, plus degree^-1.
+@lru_cache(maxsize=4)
+def _matrices(q: int, degree: int, psi: int):
+    """Read-only float64 (forward, inverse) matrices, applied as x @ matrix.
 
-    The twiddles are zetas[i] = psi^bitrev(i) mod q, consumed upward by the
-    forward stages and downward by the inverse stages.
+    Forward output k is the input evaluated at psi^(2*brv(k)+1), where brv
+    reverses the log2(degree) bits of k: the bit-reversed evaluation order
+    of the usual butterfly transform.  The inverse matrix is the inverse
+    evaluation scaled by degree^-1 mod q.  Both index one table of the
+    2*degree powers of psi.
     """
     bits = degree.bit_length() - 1
-    zetas = []
-    for i in range(degree):
-        r = 0
-        x = i
-        for _ in range(bits):
-            r = (r << 1) | (x & 1)
-            x >>= 1
-        zetas.append(pow(psi, r, q))
-    fwd = []
-    half = degree // 2
-    wi = 0
-    while half > 0:
-        nb = degree // (2 * half)
-        zs = np.array(zetas[wi + 1 : wi + 1 + nb], dtype=np.int64).reshape(nb, 1)
-        wi += nb
-        fwd.append((half, nb, zs))
-        half >>= 1
-    inv = []
-    half = 1
-    wi = degree
-    while half < degree:
-        nb = degree // (2 * half)
-        zs = np.array(zetas[wi - nb : wi][::-1], dtype=np.int64).reshape(nb, 1)
-        wi -= nb
-        inv.append((half, nb, zs))
-        half <<= 1
-    return fwd, inv, pow(degree, -1, q)
+    brv = np.array([int(f"{k:0{bits}b}"[::-1], 2) for k in range(degree)])
+    exps = np.outer(np.arange(degree), 2 * brv + 1) % (2 * degree)  # [j, k]
+    powers = [1]
+    for _ in range(2 * degree - 1):
+        powers.append(powers[-1] * psi % q)
+    powers = np.array(powers, dtype=np.int64)
+    fwd = powers[exps].astype(np.float64)
+    inv = (pow(degree, -1, q) * powers[-exps.T % (2 * degree)] % q).astype(np.float64)
+    fwd.setflags(write=False)
+    inv.setflags(write=False)
+    return fwd, inv
+
+
+def _transform(a, matrix, q: int) -> np.ndarray:
+    """a @ matrix mod q over the last axis, exact (see ntt)."""
+    a = np.asarray(a, dtype=np.int64)
+    flat = a.reshape(-1, matrix.shape[0])
+    hi = (flat >> 13) @ matrix
+    lo = (flat & 0x1FFF) @ matrix
+    out = (hi.astype(np.int64) % q << 13) + lo.astype(np.int64)
+    return (out % q).reshape(a.shape)
 
 
 def ntt(a, p: Params) -> np.ndarray:
     """Forward negacyclic transform of every polynomial in a (..., degree) array.
 
-    Reduction is lazy: each butterfly reduces only its twiddle product, so a
-    stage raises the bound on the entries by q.  Inputs in [0, q) stay below
-    (log2(degree) + 1) * q < 2^31 (degree <= 2^24 for q < 2^26), twiddle
-    products below 2^57, and one final % q brings the output into [0, q).
+    One dense degree x degree matrix product over the last axis, for
+    coefficients in [0, q).  It runs in float64 on 13-bit limbs,
+    hi = (a >> 13) @ M and lo = (a & 0x1FFF) @ M, recombined in int64 as
+    (hi mod q) * 2^13 + lo mod q.  Both products are exact: every term is
+    an integer below 2^13 * q and every partial sum one below
+    degree * 2^13 * q <= 2^49 < 2^53 (validate keeps degree <= 2^10 and
+    q < 2^26), so no summation order or fused multiply-add can round.
     """
-    fwd, _, _ = _stage_tables(p.q, p.degree, p.psi)
-    q = p.q
-    out = np.array(a, dtype=np.int64, order="C")
-    for half, nb, zs in fwd:
-        x = out.reshape(-1, nb, 2, half)
-        lo = x[:, :, 0, :]
-        hi = x[:, :, 1, :]
-        t = hi * zs % q
-        np.subtract(lo + q, t, out=hi)
-        lo += t
-    return out % q
+    return _transform(a, _matrices(p.q, p.degree, p.psi)[0], p.q)
 
 
 def inv_ntt(a, p: Params) -> np.ndarray:
-    """Inverse of ntt(); inv_ntt(ntt(x)) == x."""
-    _, inv, ninv = _stage_tables(p.q, p.degree, p.psi)
-    q = p.q
-    out = np.array(a, dtype=np.int64, order="C")
-    for half, nb, zs in inv:
-        x = out.reshape(-1, nb, 2, half)
-        lo = x[:, :, 0, :]
-        hi = x[:, :, 1, :]
-        t = (hi - lo) * zs % q
-        lo += hi
-        lo %= q
-        hi[...] = t
-    return out * ninv % q
+    """Inverse of ntt(), by the same exact limb product; inv_ntt(ntt(x)) == x."""
+    return _transform(a, _matrices(p.q, p.degree, p.psi)[1], p.q)
 
 
 # A product of two reduced coefficients is below 2^52, so an int64

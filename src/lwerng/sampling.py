@@ -74,8 +74,8 @@ def _accepted(xofs, width: int, keep: int, bound: int, need: int) -> np.ndarray:
         draws *= 2
 
 
-def expand_matrix(ent: EntropyInput, p: Params = None) -> list:
-    """Expand the public m x n matrix of uniform ring elements.
+def expand_matrix(ent: EntropyInput, p: Params = None) -> np.ndarray:
+    """Expand the public m x n matrix of uniform ring elements, (m, n, degree).
 
     Each coefficient comes from the entry's own stream by reading
     ceil(bitlen(q)/8) bytes little-endian, masking to bitlen(q) bits and
@@ -85,11 +85,11 @@ def expand_matrix(ent: EntropyInput, p: Params = None) -> list:
     bits = p.q.bit_length()
     xofs = [_xof(ent, bytes([LABEL_MATRIX, i, j])) for i in range(p.m) for j in range(p.n)]
     coeffs = _accepted(xofs, 8 * ((bits + 7) // 8), bits, p.q, p.degree)
-    return coeffs.reshape(p.m, p.n, p.degree).tolist()
+    return coeffs.reshape(p.m, p.n, p.degree)
 
 
-def sample_secret(ent: EntropyInput, p: Params = None) -> list:
-    """Secret vector: n polynomials, coefficients uniform on {-eta..eta}.
+def sample_secret(ent: EntropyInput, p: Params = None) -> np.ndarray:
+    """Secret vector, (n, degree): coefficients uniform on {-eta..eta} mod q.
 
     Rejection sampling on bitlen(2*eta)-bit reads; for eta = 1 that is
     2-bit reads with the single pattern 3 rejected.
@@ -97,11 +97,11 @@ def sample_secret(ent: EntropyInput, p: Params = None) -> list:
     p = p or default_params()
     k = (2 * p.eta).bit_length()
     v = _accepted([_xof(ent, bytes([LABEL_SECRET]))], k, k, 2 * p.eta + 1, p.n * p.degree)
-    return ((v - p.eta) % p.q).reshape(p.n, p.degree).tolist()
+    return ((v - p.eta) % p.q).reshape(p.n, p.degree)
 
 
-def sample_error(ent: EntropyInput, p: Params = None, nonce: int = 0) -> list:
-    """Error vector: m polynomials from the centered binomial of parameter eta.
+def sample_error(ent: EntropyInput, p: Params = None, nonce: int = 0) -> np.ndarray:
+    """Error vector, (m, degree), from the centered binomial of parameter eta mod q.
 
     Per coefficient, eta bits minus eta bits; for eta = 1 this gives
     P(0) = 1/2 and P(+-1) = 1/4 on support {-1, 0, 1}.
@@ -111,15 +111,15 @@ def sample_error(ent: EntropyInput, p: Params = None, nonce: int = 0) -> list:
     xof = _xof(ent, bytes([LABEL_ERROR]) + nonce.to_bytes(2, "big"))
     bits = _bits(xof.digest((nbits + 7) // 8))[:nbits]
     ab = bits.reshape(p.m, p.degree, 2, p.eta).sum(axis=-1, dtype=np.int64)
-    return ((ab[..., 0] - ab[..., 1]) % p.q).tolist()
+    return (ab[..., 0] - ab[..., 1]) % p.q
 
 
-def seed_payload(ent: EntropyInput, p: Params = None) -> list:
-    """Binary payload: m polynomials with coefficients in {0, 1}, one bit each."""
+def seed_payload(ent: EntropyInput, p: Params = None) -> np.ndarray:
+    """Binary payload, (m, degree): coefficients in {0, 1}, one bit each."""
     p = p or default_params()
     nbits = p.m * p.degree
     raw = _xof(ent, bytes([LABEL_PAYLOAD])).digest((nbits + 7) // 8)
-    return _bits(raw)[:nbits].reshape(p.m, p.degree).tolist()
+    return _bits(raw)[:nbits].reshape(p.m, p.degree).astype(np.int64)
 
 
 def derive_reseed_entropy(ent: EntropyInput, generation: int) -> EntropyInput:

@@ -1,11 +1,13 @@
 """Independent reference implementations used as test oracles.
 
 Nothing here shares code paths with the package: ring products use numpy
-convolution or nested loops, the samplers read their SHAKE-256 streams one
-field at a time, and the register machine is re-derived from the normative
-rules on explicit bit lists (index 0 = LSB) instead of big integers.  The
-one exception is `hide_transcript`, which redraws what `hide` discards with
-the package samplers that define it (the `ref_*` samplers check those).
+convolution or nested loops, the transform is evaluated point by point with
+Python ints or run as the staged butterfly network, the samplers read their
+SHAKE-256 streams one field at a time, and the register machine is
+re-derived from the normative rules on explicit bit lists (index 0 = LSB)
+instead of big integers.  The one exception is `hide_transcript`, which
+redraws what `hide` discards with the package samplers that define it (the
+`ref_*` samplers check those).
 """
 
 import hashlib
@@ -163,9 +165,93 @@ def hide_oracle(mat, s, e, r, q):
 
 
 def hide_transcript(ent, p):
-    """(A, s, e, r) of `hide(ent, p)`, redrawn with the public samplers."""
-    return (expand_matrix(ent, p), sample_secret(ent, p), sample_error(ent, p, nonce=0),
-            seed_payload(ent, p))
+    """(A, s, e, r) of `hide(ent, p)` as lists, redrawn with the public samplers."""
+    return tuple(x.tolist() for x in (expand_matrix(ent, p), sample_secret(ent, p),
+                                      sample_error(ent, p, nonce=0), seed_payload(ent, p)))
+
+
+# --- transform oracles -------------------------------------------------------
+
+def _bitrev(k, bits):
+    return int(format(k, f"0{bits}b")[::-1], 2)
+
+
+def ref_ntt(a, p):
+    """Entry k is a(psi^(2*bitrev(k)+1)) mod q, by Horner's rule on Python ints."""
+    bits = p.degree.bit_length() - 1
+    out = []
+    for k in range(p.degree):
+        x = pow(p.psi, 2 * _bitrev(k, bits) + 1, p.q)
+        acc = 0
+        for c in reversed(a):
+            acc = (acc * x + int(c)) % p.q
+        out.append(acc)
+    return out
+
+
+def _stage_tables(p):
+    """Per-stage (half, blocks, twiddles) of both staged transforms, and degree^-1.
+
+    The twiddles are zetas[i] = psi^bitrev(i) mod q, consumed upward by the
+    forward stages and downward by the inverse stages.
+    """
+    q, degree = p.q, p.degree
+    bits = degree.bit_length() - 1
+    zetas = [pow(p.psi, _bitrev(i, bits), q) for i in range(degree)]
+    fwd = []
+    half = degree // 2
+    wi = 0
+    while half > 0:
+        nb = degree // (2 * half)
+        zs = np.array(zetas[wi + 1 : wi + 1 + nb], dtype=np.int64).reshape(nb, 1)
+        wi += nb
+        fwd.append((half, nb, zs))
+        half >>= 1
+    inv = []
+    half = 1
+    wi = degree
+    while half < degree:
+        nb = degree // (2 * half)
+        zs = np.array(zetas[wi - nb : wi][::-1], dtype=np.int64).reshape(nb, 1)
+        wi -= nb
+        inv.append((half, nb, zs))
+        half <<= 1
+    return fwd, inv, pow(degree, -1, q)
+
+
+def ref_staged_ntt(a, p):
+    """Forward transform as log2(degree) butterfly stages over a (..., degree) array.
+
+    Each butterfly reduces only its twiddle product, so a stage raises the
+    bound on the entries by q; one final % q reduces the output.
+    """
+    fwd, _, _ = _stage_tables(p)
+    q = p.q
+    out = np.array(a, dtype=np.int64, order="C")
+    for half, nb, zs in fwd:
+        x = out.reshape(-1, nb, 2, half)
+        lo = x[:, :, 0, :]
+        hi = x[:, :, 1, :]
+        t = hi * zs % q
+        np.subtract(lo + q, t, out=hi)
+        lo += t
+    return out % q
+
+
+def ref_staged_inv_ntt(a, p):
+    """Inverse of ref_staged_ntt, stage by stage."""
+    _, inv, ninv = _stage_tables(p)
+    q = p.q
+    out = np.array(a, dtype=np.int64, order="C")
+    for half, nb, zs in inv:
+        x = out.reshape(-1, nb, 2, half)
+        lo = x[:, :, 0, :]
+        hi = x[:, :, 1, :]
+        t = (hi - lo) * zs % q
+        lo += hi
+        lo %= q
+        hi[...] = t
+    return out * ninv % q
 
 
 # --- register machine oracle ------------------------------------------------

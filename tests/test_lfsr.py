@@ -89,11 +89,20 @@ def test_zero_master_rejected(params):
 
 
 def test_no_mask_words_rejected():
-    # degree 32 fills the four registers exactly and leaves no mask word
+    # degree 32 fills the four registers exactly and leaves no mask word;
+    # degree 16 cannot even fill them
     p = Params(q=193, degree=32)
     with pytest.raises(DegenerateState):
         initialize(fake_seed(range(1, 33), p))
     assert p.mask_bits == 0
+    with pytest.raises(DegenerateState):
+        initialize(fake_seed(range(1, 17), Params(q=97, degree=16)))
+
+
+def test_injected_state_without_mask_words_rejected():
+    # injected state fails like initialize, not later in emit_bits
+    with pytest.raises(DegenerateState):
+        LfsrBank.from_state(Params(q=193, degree=32), regs=(1, 1, 1, 1), mask=0)
 
 
 def test_step_zero_word(params):

@@ -83,6 +83,14 @@ def test_budget_identity(params):
     assert params.lfsr_count * params.lfsr_bits == params.state_bits
 
 
+def test_degree_bound_keeps_transform_exact():
+    # 12288 = 3 * 2^12, so q = 1 (mod 2*degree) holds at both degrees; the
+    # dense transform's float64 sums stay exact only up to degree 2^10
+    assert Params(q=12289, degree=1024).degree == 1024
+    with pytest.raises(InvalidModulus):
+        Params(q=12289, degree=2048)
+
+
 def test_invalid_set_rejected_at_construction():
     # q = 1 (mod 512) but far above 2^26: int64 ring products would overflow
     with pytest.raises(InvalidModulus):

@@ -7,7 +7,16 @@ from lwerng import polyring as pr
 from lwerng.errors import CoefficientOutOfRange, DimensionMismatch
 from lwerng.params import Params
 
-from oracles import conv_negacyclic, loop_mat_vec, loop_negacyclic, monomial, one
+from oracles import (
+    conv_negacyclic,
+    loop_mat_vec,
+    loop_negacyclic,
+    monomial,
+    one,
+    ref_ntt,
+    ref_staged_inv_ntt,
+    ref_staged_ntt,
+)
 
 
 def rand_poly(rng, p):
@@ -25,6 +34,41 @@ def test_ntt_roundtrip_fullsize(params):
     assert pr.inv_ntt(pr.ntt(batch, params), params).tolist() == batch
     for x in batch[:20]:
         assert pr.inv_ntt(pr.ntt(x, params), params).tolist() == x
+
+
+@pytest.mark.parametrize("q,degree", [(8380417, 256), (257, 4), (17, 4), (193, 32), (7681, 256)])
+def test_transform_matches_references(q, degree):
+    # pins the bit-reversed evaluation order: _hiding_batch draws A in the
+    # transform domain, so its output depends on it even though hide's does not
+    p = Params(q=q, degree=degree)
+    rng = np.random.default_rng(degree)
+    x = rng.integers(0, q, size=(64, 3, degree), dtype=np.int64)
+    assert np.array_equal(pr.ntt(x, p), ref_staged_ntt(x, p))
+    assert np.array_equal(pr.inv_ntt(x, p), ref_staged_inv_ntt(x, p))
+    for poly in x[0]:
+        assert pr.ntt(poly, p).tolist() == ref_ntt(poly.tolist(), p)
+        assert ref_ntt(pr.inv_ntt(poly, p).tolist(), p) == poly.tolist()
+
+
+def test_transform_exact_at_degree_bound():
+    # degree 2^10 at the largest prime q < 2^26 with q = 1 (mod 2048): the
+    # float64 limb sums reach their 2^49 bound
+    p = Params(q=67104769, degree=1024)
+    rng = np.random.default_rng(26)
+    x = np.concatenate([rng.integers(0, p.q, size=(7, p.degree), dtype=np.int64),
+                        np.full((1, p.degree), p.q - 1, dtype=np.int64)])
+    fwd = pr.ntt(x, p)
+    assert np.array_equal(fwd, ref_staged_ntt(x, p))
+    assert np.array_equal(pr.inv_ntt(x, p), ref_staged_inv_ntt(x, p))
+    assert np.array_equal(pr.inv_ntt(fwd, p), x)
+    assert fwd[-1].tolist() == ref_ntt(x[-1].tolist(), p)
+
+
+def test_transform_matrices_read_only(params):
+    # the cache hands the same arrays to every caller
+    for matrix in pr._matrices(params.q, params.degree, params.psi):
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1
 
 
 def test_ntt_zero_is_zero(params):

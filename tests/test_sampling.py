@@ -37,20 +37,20 @@ def test_reseed_entropy_is_labelled_shake_digest(ent_zero, ent_one):
 
 @pytest.mark.parametrize("sampler", [expand_matrix, sample_secret, seed_payload])
 def test_samplers_deterministic(sampler, ent_zero, params):
-    assert sampler(ent_zero, params) == sampler(ent_zero, params)
+    assert np.array_equal(sampler(ent_zero, params), sampler(ent_zero, params))
 
 
 def test_error_sampler_deterministic_per_nonce(ent_zero, params):
-    assert sample_error(ent_zero, params, 0) == sample_error(ent_zero, params, 0)
-    assert sample_error(ent_zero, params, 0) != sample_error(ent_zero, params, 1)
+    assert np.array_equal(sample_error(ent_zero, params, 0), sample_error(ent_zero, params, 0))
+    assert not np.array_equal(sample_error(ent_zero, params, 0), sample_error(ent_zero, params, 1))
 
 
 def test_flipped_entropy_changes_matrix(ent_zero, ent_one, params):
-    assert expand_matrix(ent_zero, params) != expand_matrix(ent_one, params)
+    assert not np.array_equal(expand_matrix(ent_zero, params), expand_matrix(ent_one, params))
 
 
 def test_matrix_shape_and_range(ent_zero, params):
-    mat = expand_matrix(ent_zero, params)
+    mat = expand_matrix(ent_zero, params).tolist()
     assert len(mat) == params.m and all(len(row) == params.n for row in mat)
     for row in mat:
         for poly in row:
@@ -64,7 +64,7 @@ def test_matrix_uniformity_chi_square(params):
     needed = 1_000_000
     tag = 0
     while len(draws) < needed:
-        mat = expand_matrix(fixed_ent(tag), params)
+        mat = expand_matrix(fixed_ent(tag), params).tolist()
         for row in mat:
             for poly in row:
                 draws.extend(poly)
@@ -76,7 +76,7 @@ def test_matrix_uniformity_chi_square(params):
 
 
 def test_secret_support(ent_zero, params):
-    s = sample_secret(ent_zero, params)
+    s = sample_secret(ent_zero, params).tolist()
     assert len(s) == params.n
     allowed = {0, 1, params.q - 1}
     for poly in s:
@@ -88,7 +88,7 @@ def test_secret_uniform_on_support(params):
     total = 0
     tag = 1000
     while total < 1_000_000:
-        for poly in sample_secret(fixed_ent(tag), params):
+        for poly in sample_secret(fixed_ent(tag), params).tolist():
             for c in poly:
                 counts[c if c <= 1 else c - params.q] += 1
                 total += 1
@@ -98,7 +98,7 @@ def test_secret_uniform_on_support(params):
 
 
 def test_error_support_bounded(ent_zero, params):
-    e = sample_error(ent_zero, params, 0)
+    e = sample_error(ent_zero, params, 0).tolist()
     assert len(e) == params.m
     for poly in e:
         for c in poly:
@@ -111,7 +111,7 @@ def test_error_centered_binomial_frequencies(params):
     total = 0
     tag = 2000
     while total < 1_000_000:
-        for poly in sample_error(fixed_ent(tag), params, 0):
+        for poly in sample_error(fixed_ent(tag), params, 0).tolist():
             for c in poly:
                 counts[c if c <= 1 else c - params.q] += 1
                 total += 1
@@ -122,7 +122,7 @@ def test_error_centered_binomial_frequencies(params):
 
 
 def test_payload_bits(ent_zero, params):
-    r = seed_payload(ent_zero, params)
+    r = seed_payload(ent_zero, params).tolist()
     assert len(r) == params.m
     for poly in r:
         assert set(poly) <= {0, 1}
@@ -131,7 +131,7 @@ def test_payload_bits(ent_zero, params):
 
 def test_payload_monobit_over_fixed_inputs(params):
     for tag in range(3000, 3020):
-        r = seed_payload(fixed_ent(tag), params)
+        r = seed_payload(fixed_ent(tag), params).tolist()
         ones = sum(sum(poly) for poly in r)
         assert 0.44 <= ones / 1024 <= 0.56
 
@@ -161,11 +161,11 @@ def test_samplers_match_sequential_reference(which, request):
         p = request.getfixturevalue(which)
     for tag in range(4000, 4006):
         ent = fixed_ent(tag)
-        assert expand_matrix(ent, p) == ref_expand_matrix(ent, p)
-        assert sample_secret(ent, p) == ref_sample_secret(ent, p)
+        assert expand_matrix(ent, p).tolist() == ref_expand_matrix(ent, p)
+        assert sample_secret(ent, p).tolist() == ref_sample_secret(ent, p)
         for nonce in (0, 1, 7):
-            assert sample_error(ent, p, nonce) == ref_sample_error(ent, p, nonce)
-        assert seed_payload(ent, p) == ref_seed_payload(ent, p)
+            assert sample_error(ent, p, nonce).tolist() == ref_sample_error(ent, p, nonce)
+        assert seed_payload(ent, p).tolist() == ref_seed_payload(ent, p)
 
 
 def test_short_digest_is_read_again(toy_params, monkeypatch):
@@ -188,6 +188,6 @@ def test_short_digest_is_read_again(toy_params, monkeypatch):
     for tag in range(4000, 4006):
         reads.clear()
         ent = fixed_ent(tag)
-        assert expand_matrix(ent, toy_params) == ref_expand_matrix(ent, toy_params)
+        assert expand_matrix(ent, toy_params).tolist() == ref_expand_matrix(ent, toy_params)
         reread += sum(len(lengths) > 1 for lengths in reads.values())
     assert reread > 0
