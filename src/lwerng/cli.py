@@ -75,6 +75,11 @@ def _add_seed_args(sp):
                                         "(default: $LWERNG_SEED_FILE)")
 
 
+def _add_reseed_arg(sp):
+    sp.add_argument("--reseed-interval", type=_COUNT, default=DEFAULT_RESEED_INTERVAL,
+                    help="bits between automatic reseeds, 0 disables")
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(prog="lwerng")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -86,25 +91,27 @@ def _build_parser():
     g.add_argument("--out", help="output file (default stdout)")
     g.add_argument("--force", action="store_true",
                    help="allow raw bytes on a terminal stdout")
-    g.add_argument("--reseed-interval", type=_COUNT, default=DEFAULT_RESEED_INTERVAL,
-                   help="bits between automatic reseeds, 0 disables")
+    _add_reseed_arg(g)
 
     s = sub.add_parser("stats", help="run the built-in randomness battery")
     s.set_defaults(func=_cmd_stats)
     _add_seed_args(s)
     s.add_argument("--bits", type=_at_least(MIN_BATTERY_BITS), default=10_000_000)
+    _add_reseed_arg(s)
 
     d = sub.add_parser("dieharder-dump", help="dump raw bytes for an external suite")
     d.set_defaults(func=_cmd_dump)
     _add_seed_args(d)
     d.add_argument("--bytes", type=_COUNT, default=1_100_000_000, dest="nbytes")
     d.add_argument("--out", required=True)
+    _add_reseed_arg(d)
 
     sc = sub.add_parser("scatter", help="export 3-bit scatter indexes as CSV")
     sc.set_defaults(func=_cmd_scatter)
     _add_seed_args(sc)
     sc.add_argument("--count", type=_POSITIVE, default=1_000_000)
     sc.add_argument("--out", required=True)
+    _add_reseed_arg(sc)
 
     di = sub.add_parser("distinguish", help="run the distinguishing experiment")
     di.set_defaults(func=_cmd_distinguish)
@@ -126,9 +133,7 @@ def _build_parser():
     be.add_argument("--bytes", type=_POSITIVE, default=100_000_000, dest="nbytes",
                     help="bytes generated per run")
     be.add_argument("--runs", type=_POSITIVE, default=5)
-    be.add_argument("--reseed-interval", type=_COUNT, default=DEFAULT_RESEED_INTERVAL,
-                    help="bits between automatic reseeds, 0 benches the "
-                         "unreseeded stream")
+    _add_reseed_arg(be)
     return ap
 
 
@@ -165,7 +170,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_stats(args) -> int:
     ent = _resolve_entropy(args.seed_hex, args.seed_file)
-    reports = run_battery(Generator(ent), args.bits)
+    reports = run_battery(Generator(ent, reseed_interval=args.reseed_interval), args.bits)
     for rep in reports:
         print(rep.line())
     worst = min(rep.p_value for rep in reports)
@@ -174,7 +179,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_dump(args) -> int:
     ent = _resolve_entropy(args.seed_hex, args.seed_file)
-    dump_raw(Generator(ent), args.nbytes, args.out)
+    dump_raw(Generator(ent, reseed_interval=args.reseed_interval), args.nbytes, args.out)
     print(f"wrote {args.nbytes} bytes to {args.out}", file=sys.stderr)
     print(f"external suite: dieharder -a -g 201 -f {args.out}", file=sys.stderr)
     return 0
@@ -182,7 +187,8 @@ def _cmd_dump(args) -> int:
 
 def _cmd_scatter(args) -> int:
     ent = _resolve_entropy(args.seed_hex, args.seed_file)
-    indexes = scatter_indexes(Generator(ent), args.count)
+    indexes = scatter_indexes(Generator(ent, reseed_interval=args.reseed_interval),
+                              args.count)
     write_scatter_csv(indexes, args.out)
     print(f"wrote {args.count} indexes to {args.out}", file=sys.stderr)
     return 0

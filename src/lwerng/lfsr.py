@@ -33,13 +33,140 @@ Normative rules this module fixes (stated here once, tests hold them):
 
 Multi-bit quantities travel LSB-first everywhere: ejected bits, feedback
 words, output chunks and the byte packing downstream.
+
+How the machine runs.  Every shift of a step pops the same number of bits
+from the three slaves, so on a shared time index t (bits popped so far) each
+slave is a FIFO with a lag-256 recurrence:
+
+    x1[t+256] = x1[t] ^ x2[t]
+    x2[t+256] = x2[t] ^ x3[t]
+    x3[t+256] = x3[t] ^ W[t]
+
+where W concatenates, over each step's set bits p in ascending order, the
+low p bits of w.  The register contents do not depend on where a step's
+segments begin and end; only the output interleave does.  So emission runs
+in two phases:
+
+  1. A sequential walk on Python ints (`LfsrBank._walk`).  Per step it builds
+     the step's stretch of W and S = sum of positions from per-byte tables,
+     advances the slaves by S bits in FIFO moves of at most 256 bits, keeps
+     the S bits each slave popped, computes the peak and updates the master.
+     Each step leaves one fixed-width record.
+  2. One vectorised pass per batch (`_gather`): the records are unpacked, the
+     run-gather index is built from the bits of the recorded words (per
+     position p, p bits of each slave's window; then the master's bits), and
+     the raw bits are gathered.  `emit_bits` whitens them against the mask
+     tiled from `mask_cursor` (raw bit g meets mask bit g mod mask_bits,
+     whatever the step boundaries) and packs them.
 """
+
+import numpy as np
 
 from .errors import DegenerateState
 from .lwe_hiding import HiddenSeed
 from .params import Params, default_params
 
 _M32 = 0xFFFFFFFF
+_REG_BITS = Params.lfsr_bits
+_REG_MASK = (1 << _REG_BITS) - 1
+_WORD_BITS = Params.word_bits
+_CURSORS = _REG_BITS // _WORD_BITS
+# A step record is three slots, one per slave, then the governing word.  A
+# slot holds the S <= 528 bits the slave popped; the first slot then holds the
+# master's c <= 32 ejected bits, so the master's run is one more segment.
+_SLOT = _WORD_BITS * (_WORD_BITS + 1) // 2 + _WORD_BITS
+_RECORD = 3 * _SLOT + _WORD_BITS
+
+
+def _byte_tables(j: int):
+    """(G, H, S) over the 256 values b of byte j of a governing word.
+
+    The set bits of b sit at positions p = 8j+k+1 and, in ascending order,
+    contribute the chunks w & (2^p - 1) back to back.  A chunk's low 8j bits
+    are w's low bytes, so the run of chunks is (w & (2^(8j) - 1)) * G[b] |
+    H[b]: G has a one at each chunk's offset and H holds bits 8j..p-1 of
+    each chunk.  Chunks are at least 8j+1 bits apart, so the product never
+    carries.  S[b] is the run's width, the sum of the positions.
+    """
+    gs, hs, ss = [], [], []
+    for b in range(256):
+        g = h = off = 0
+        for k in range(8):
+            if b >> k & 1:
+                g |= 1 << off
+                h |= (b & ((2 << k) - 1)) << (8 * j + off)
+                off += 8 * j + k + 1
+        gs.append(g)
+        hs.append(h)
+        ss.append(off)
+    return tuple(gs), tuple(hs), tuple(ss)
+
+
+(_G0, _H0, _S0), (_G1, _H1, _S1), (_G2, _H2, _S2), (_G3, _H3, _S3) = (
+    _byte_tables(j) for j in range(_WORD_BITS // 8))
+
+
+def _feed(w: int):
+    """(W, S): the chunks w & (2^p - 1) over w's set bits p, ascending, and their width."""
+    b0, b1, b2, b3 = w & 0xFF, w >> 8 & 0xFF, w >> 16 & 0xFF, w >> 24
+    s1 = _S0[b0]
+    s2 = s1 + _S1[b1]
+    s3 = s2 + _S2[b2]
+    feed = (_H0[b0]
+            | ((w & 0xFF) * _G1[b1] | _H1[b1]) << s1
+            | ((w & 0xFFFF) * _G2[b2] | _H2[b2]) << s2
+            | ((w & 0xFFFFFF) * _G3[b3] | _H3[b3]) << s3)
+    return feed, s3 + _S3[b3]
+
+
+def _run_tables():
+    """Phase-2 tables for a step's 99 runs, run 3*g + r being segment g in slot r.
+
+    Segments g = 0..31 are the positions p = g+1, segment 32 the master.  A
+    step's 32 word bits times the (32, 199) table give each run's length,
+    then each run's start in the record minus its offset in the step's
+    output, less the slot start r*_SLOT (the second table), and last the
+    step's output width 3S + c.  Segment p has length p if bit p-1 is set;
+    the master's has length c, in slot 0 only.  With off the sum of the set
+    positions below the segment (S for the master), its run in slot r
+    starts at r*_SLOT + off in the record and at 3*off + r*length in the
+    output.
+    """
+    pos = np.arange(1, _WORD_BITS + 1, dtype=np.float32)
+    seg = np.zeros((_WORD_BITS, _WORD_BITS + 1), np.float32)
+    seg[:, :-1] = np.diag(pos)
+    seg[:, -1] = 1
+    off = np.triu(np.repeat(pos[:, None], _WORD_BITS + 1, axis=1), k=1)
+    slot = np.arange(3)
+    lengths = np.repeat(seg[:, :, None], 3, axis=2)
+    lengths[:, -1, 1:] = 0
+    shifts = -2 * off[:, :, None] - seg[:, :, None] * slot
+    width = 3 * off[:, -1:] + seg[:, -1:]
+    table = np.hstack([lengths.reshape(_WORD_BITS, -1), shifts.reshape(_WORD_BITS, -1), width])
+    return table.astype(np.float32), np.tile(slot * _SLOT, _WORD_BITS + 1)
+
+
+_RUNS = 3 * (_WORD_BITS + 1)
+_RUN_TABLE, _SLOT_STARTS = _run_tables()
+
+
+def _gather(records: bytes) -> np.ndarray:
+    """Phase 2: the raw output bits of the step records, one uint8 per bit.
+
+    Per step the output is, for each set position p in ascending order, p
+    bits of the x1, x2 and x3 windows, then the master's bits.  The float32
+    product is exact: its entries are sums of at most 32 integers below 2^11.
+    """
+    bits = np.unpackbits(np.frombuffer(records, np.uint8), bitorder="little")
+    steps = bits.reshape(-1, _RECORD)
+    runs = (steps[:, 3 * _SLOT:] @ _RUN_TABLE).astype(np.int64)
+    width = runs[:, -1]
+    # each step's record start minus its output start
+    shift = np.arange(0, len(steps) * _RECORD, _RECORD) - np.cumsum(width) + width
+    lengths = runs[:, :_RUNS].ravel()
+    idx = np.repeat((runs[:, _RUNS:-1] + _SLOT_STARTS + shift[:, None]).ravel(), lengths)
+    idx += np.arange(idx.size)
+    return bits[idx]
 
 
 def _require_mask_words(p: Params) -> None:
@@ -60,6 +187,10 @@ class LfsrBank:
         self.mask_cursor = mask_cursor
         self._buf = 0
         self._buflen = 0
+        nbytes = params.mask_bits // 8
+        self._mask_bits = np.unpackbits(
+            np.frombuffer((mask & ((1 << params.mask_bits) - 1)).to_bytes(nbytes, "little"),
+                          np.uint8), bitorder="little")
 
     # -- construction ------------------------------------------------------
 
@@ -73,62 +204,86 @@ class LfsrBank:
 
     def step(self):
         """One full governing-word cycle; returns raw (value, nbits), LSB-first."""
-        return self._step(None)
+        if not self.regs[3] >> (self.coeff_cursor * _WORD_BITS) & _M32:
+            self.coeff_cursor = (self.coeff_cursor + 1) % _CURSORS
+            return 0, 0
+        raw = _gather(self._walk(1))  # a nonzero word emits, so this is one step
+        return int.from_bytes(np.packbits(raw, bitorder="little"), "little"), raw.size
 
     def step_trace(self):
-        """As step(), but also returns the trace record for this step."""
-        trace = {}
-        v, w = self._step(trace)
-        return v, w, trace
+        """As step(), plus the step's record.
 
-    def _step(self, trace):
-        p = self.params
-        reg_bits = p.lfsr_bits
-        l1, l2, l3, l4 = self.regs
-        w = (l4 >> (self.coeff_cursor * p.word_bits)) & _M32
-        if trace is not None:
-            trace["cursor"] = self.coeff_cursor
-            trace["word"] = w
-            trace["shifts"] = []
-        out_v = 0
-        out_w = 0
-        rest = w
-        pos = 0
-        while rest:
-            tz = (rest & -rest).bit_length()
-            pos += tz
-            rest >>= tz
-            mask = (1 << pos) - 1
-            l1o = l1 & mask
-            l2o = l2 & mask
-            l3o = l3 & mask
-            fb1 = l1o ^ l2o
-            fb2 = l2o ^ l3o
-            fb3 = l3o ^ (w & mask)
-            top = reg_bits - pos
-            l1 = (l1 >> pos) | (fb1 << top)
-            l2 = (l2 >> pos) | (fb2 << top)
-            l3 = (l3 >> pos) | (fb3 << top)
-            out_v |= (l1o | (l2o << pos) | (l3o << (pos + pos))) << out_w
-            out_w += 3 * pos
-            if trace is not None:
-                trace["shifts"].append((pos, l1o, l2o, l3o, fb1, fb2, fb3))
+        The record is {cursor, word, master: (count, l4o, peak, fb4)}: the
+        governing word, the master's ejected bits, the slaves' peak word and
+        the master's feedback.  With the state before it, the sequence of
+        records determines the run.
+        """
+        cursor = self.coeff_cursor
+        l4 = self.regs[3]
+        w = l4 >> (cursor * _WORD_BITS) & _M32
+        v, nbits = self.step()
         count = w.bit_count()
+        master = (0, 0, 0, 0)
         if count:
-            cmask = (1 << count) - 1
+            master = (count, l4 & ((1 << count) - 1),
+                      max(r & _M32 for r in self.regs[:3]),
+                      self.regs[3] >> (_REG_BITS - count))
+        return v, nbits, {"cursor": cursor, "word": w, "master": master}
+
+    def _walk(self, need: int):
+        """Phase 1: step until `need` raw bits are out or the master is zero.
+
+        Each step reads w, pops S = sum of w's set positions from every
+        slave in FIFO moves of at most one register width (x1 takes
+        x1^x2, x2 takes x2^x3, x3 takes x3^W), updates the master and
+        records the popped windows, the master's ejected bits and w.  Steps
+        with w = 0 only advance the cursor and leave no record.
+        """
+        l1, l2, l3, l4 = self.regs
+        cursor = self.coeff_cursor
+        records = bytearray()
+        got = 0
+        while got < need:
+            w = l4 >> (cursor * _WORD_BITS) & _M32
+            cursor = (cursor + 1) % _CURSORS
+            if not w:
+                continue
+            feed, s = _feed(w)
+            win1 = win2 = win3 = done = 0
+            rem = s
+            while rem >= _REG_BITS:
+                win1 |= l1 << done
+                win2 |= l2 << done
+                win3 |= l3 << done
+                l1, l2, l3 = l1 ^ l2, l2 ^ l3, l3 ^ (feed & _REG_MASK)
+                feed >>= _REG_BITS
+                done += _REG_BITS
+                rem -= _REG_BITS
+            if rem:
+                m = (1 << rem) - 1
+                top = _REG_BITS - rem
+                o1 = l1 & m
+                o2 = l2 & m
+                o3 = l3 & m
+                l1 = l1 >> rem | (o1 ^ o2) << top
+                l2 = l2 >> rem | (o2 ^ o3) << top
+                l3 = l3 >> rem | (o3 ^ feed) << top
+                win1 |= o1 << done
+                win2 |= o2 << done
+                win3 |= o3 << done
+            c = w.bit_count()
+            cmask = (1 << c) - 1
             l4o = l4 & cmask
             peak = max(l1 & _M32, l2 & _M32, l3 & _M32)
-            fb4 = (peak & cmask) ^ l4o
-            l4 = (l4 >> count) | (fb4 << (reg_bits - count))
-            out_v |= l4o << out_w
-            out_w += count
-            if trace is not None:
-                trace["master"] = (count, l4o, peak, fb4)
-        elif trace is not None:
-            trace["master"] = (0, 0, 0, 0)
+            l4 = l4 >> c | ((peak & cmask) ^ l4o) << (_REG_BITS - c)
+            records += (win1 | l4o << s | win2 << _SLOT | win3 << 2 * _SLOT
+                        | w << 3 * _SLOT).to_bytes(_RECORD // 8, "little")
+            got += 3 * s + c
+            if not l4:
+                break
         self.regs = [l1, l2, l3, l4]
-        self.coeff_cursor = (self.coeff_cursor + 1) % (reg_bits // p.word_bits)
-        return out_v, out_w
+        self.coeff_cursor = cursor
+        return records
 
     # -- whitened emission -------------------------------------------------
 
@@ -136,41 +291,27 @@ class LfsrBank:
         """Exactly nbits whitened stream bits as an LSB-first integer.
 
         Bits beyond the request stay buffered for the next call, so chunked
-        emission concatenates to one large emission.
+        emission concatenates to one large emission.  Raw bit g of the run
+        meets mask bit g mod mask_bits, whatever the step boundaries.
         """
         if nbits < 0:
             raise ValueError("nbits must be >= 0")
-        buf = self._buf
-        buflen = self._buflen
-        mask_bits = self.params.mask_bits
-        while buflen < nbits:
-            if self.regs[3] == 0:
-                # keep the bits already stepped out for a later, smaller read
-                self._buf = buf
-                self._buflen = buflen
-                raise DegenerateState("master register is all-zero; stream exhausted")
-            v, w = self._step(None)
-            if w:
-                v ^= self._mask_slice(self.mask_cursor, w)
-                self.mask_cursor = (self.mask_cursor + w) % mask_bits
-                buf |= v << buflen
-                buflen += w
-        out = buf & ((1 << nbits) - 1)
-        self._buf = buf >> nbits
-        self._buflen = buflen - nbits
-        return out
-
-    def _mask_slice(self, cursor: int, nbits: int) -> int:
-        """nbits of the cyclic whitening mask starting at bit `cursor`."""
-        mask_bits = self.params.mask_bits
-        out = 0
-        shift = 0
-        while nbits > 0:
-            take = min(mask_bits - cursor, nbits)
-            out |= ((self.mask >> cursor) & ((1 << take) - 1)) << shift
-            shift += take
-            nbits -= take
-            cursor = (cursor + take) % mask_bits
+        if self._buflen < nbits and self.regs[3]:
+            # a nonzero master holds a nonzero word, so the walk records a step
+            raw = _gather(self._walk(nbits - self._buflen))
+            c = self.mask_cursor
+            reps = -(-(c + raw.size) // self._mask_bits.size)
+            raw ^= np.concatenate((self._mask_bits,) * reps)[c:c + raw.size]
+            self.mask_cursor = (c + raw.size) % self.params.mask_bits
+            self._buf |= int.from_bytes(np.packbits(raw, bitorder="little"),
+                                        "little") << self._buflen
+            self._buflen += raw.size
+        if self._buflen < nbits:
+            # the bits already stepped out stay buffered for a later, smaller read
+            raise DegenerateState("master register is all-zero; stream exhausted")
+        out = self._buf & ((1 << nbits) - 1)
+        self._buf >>= nbits
+        self._buflen -= nbits
         return out
 
 
@@ -218,12 +359,6 @@ def initialize(hs: HiddenSeed) -> LfsrBank:
 
 def format_trace_line(trace: dict) -> str:
     """One-line debug rendering of a step trace record."""
-    shifts = " ".join(
-        f"p={s[0]}:o=({s[1]:x},{s[2]:x},{s[3]:x}):fb=({s[4]:x},{s[5]:x},{s[6]:x})"
-        for s in trace["shifts"]
-    )
     c, l4o, peak, fb4 = trace["master"]
-    return (
-        f"cursor={trace['cursor']} w={trace['word']:08x} [{shifts}] "
-        f"l4:c={c}:o={l4o:x}:peak={peak:08x}:fb={fb4:x}"
-    )
+    return (f"cursor={trace['cursor']} w={trace['word']:08x} "
+            f"l4:c={c}:o={l4o:x}:peak={peak:08x}:fb={fb4:x}")

@@ -16,7 +16,9 @@ from .sampling import EntropyInput, derive_reseed_entropy
 
 DEFAULT_RESEED_INTERVAL = 1 << 20  # bits between automatic re-concealments
 
-_EMIT_CHUNK_BITS = 1 << 18  # per-call slice keeping big-int buffers small
+# bits per emit_bits call: bounds one batch's step records and gather arrays
+# (a few MB at 2^18 bits) as well as the big-int buffers
+_EMIT_CHUNK_BITS = 1 << 18
 
 
 class Generator:

@@ -5,7 +5,10 @@ convolution or nested loops, the transform is evaluated point by point with
 Python ints or run as the staged butterfly network, the samplers read their
 SHAKE-256 streams one field at a time, and the register machine is
 re-derived from the normative rules on explicit bit lists (index 0 = LSB)
-instead of big integers.  The one exception is `hide_transcript`, which
+instead of big integers.  `int_step`/`int_emit` are the fast register
+references: they shift once per set bit of the governing word on 256-bit
+ints and whiten step by step, where the package runs a FIFO walk and one
+vectorised gather per read.  The one exception is `hide_transcript`, which
 redraws what `hide` discards with the package samplers that define it (the
 `ref_*` samplers check those).
 """
@@ -14,6 +17,7 @@ import hashlib
 
 import numpy as np
 
+from lwerng.errors import DegenerateState
 from lwerng.sampling import expand_matrix, sample_error, sample_secret, seed_payload
 
 
@@ -364,3 +368,93 @@ def bits_to_bytes(bits):
     for j in range(0, len(bits), 8):
         out.append(bits_to_int(bits[j : j + 8]))
     return bytes(out)
+
+
+# --- fast integer reference for the register machine --------------------------
+
+M32 = 0xFFFFFFFF
+
+
+def int_step(regs, cursor, trace=None):
+    """One step on 256-bit ints, shifting once per set bit of w.
+
+    Returns (regs', cursor', raw value, raw nbits), LSB-first.  `trace`, when
+    given, receives the step record: cursor, word and master (count, l4o,
+    peak, fb4).
+    """
+    l1, l2, l3, l4 = regs
+    w = (l4 >> (cursor * WORD_BITS)) & M32
+    out_v = out_w = 0
+    for pos in range(1, WORD_BITS + 1):
+        if not (w >> (pos - 1)) & 1:
+            continue
+        mask = (1 << pos) - 1
+        l1o, l2o, l3o = l1 & mask, l2 & mask, l3 & mask
+        top = REG_BITS - pos
+        l1 = (l1 >> pos) | ((l1o ^ l2o) << top)
+        l2 = (l2 >> pos) | ((l2o ^ l3o) << top)
+        l3 = (l3 >> pos) | ((l3o ^ (w & mask)) << top)
+        out_v |= (l1o | (l2o << pos) | (l3o << (2 * pos))) << out_w
+        out_w += 3 * pos
+    master = (0, 0, 0, 0)
+    count = w.bit_count()
+    if count:
+        cmask = (1 << count) - 1
+        l4o = l4 & cmask
+        peak = max(l1 & M32, l2 & M32, l3 & M32)
+        fb4 = (peak & cmask) ^ l4o
+        l4 = (l4 >> count) | (fb4 << (REG_BITS - count))
+        out_v |= l4o << out_w
+        out_w += count
+        master = (count, l4o, peak, fb4)
+    if trace is not None:
+        trace.update(cursor=cursor, word=w, master=master)
+    return [l1, l2, l3, l4], (cursor + 1) % WORDS_PER_REG, out_v, out_w
+
+
+class IntBank:
+    """State for int_emit: registers, cursors, mask and buffered whitened bits."""
+
+    def __init__(self, regs, mask, coeff_cursor=0, mask_cursor=0, mask_bits=MASK_BITS):
+        self.regs = list(regs)
+        self.mask = mask
+        self.coeff_cursor = coeff_cursor
+        self.mask_cursor = mask_cursor
+        self.mask_bits = mask_bits
+        self.buf = 0
+        self.buflen = 0
+        self.steps = 0
+
+
+def int_mask_slice(mask, mask_bits, cursor, nbits):
+    """nbits of the cyclic mask starting at bit `cursor`, LSB-first."""
+    out = shift = 0
+    while nbits > 0:
+        take = min(mask_bits - cursor, nbits)
+        out |= ((mask >> cursor) & ((1 << take) - 1)) << shift
+        shift += take
+        nbits -= take
+        cursor = (cursor + take) % mask_bits
+    return out
+
+
+def int_emit(bank, nbits):
+    """Exactly nbits whitened bits from an IntBank, one int_step at a time.
+
+    Whitens each step's raw bits as they come out and keeps the surplus
+    buffered; a zero master raises DegenerateState with the buffer kept.
+    """
+    while bank.buflen < nbits:
+        if bank.regs[3] == 0:
+            raise DegenerateState("master register is all-zero")
+        bank.regs, bank.coeff_cursor, v, w = int_step(bank.regs, bank.coeff_cursor)
+        bank.steps += 1
+        if w:
+            v ^= int_mask_slice(bank.mask, bank.mask_bits, bank.mask_cursor, w)
+            bank.mask_cursor = (bank.mask_cursor + w) % bank.mask_bits
+            bank.buf |= v << bank.buflen
+            bank.buflen += w
+    out = bank.buf & ((1 << nbits) - 1)
+    bank.buf >>= nbits
+    bank.buflen -= nbits
+    return out

@@ -4,6 +4,7 @@ import pytest
 
 from lwerng.cli import bench_rates, main
 from lwerng.sampling import EntropyInput
+from lwerng.stats import run_battery
 from lwerng.stream import Generator
 
 SEED = "00" * 32
@@ -89,6 +90,18 @@ def test_stats_command(capsys):
     assert "monobit" in out and "serial_corr_64" in out
 
 
+def test_stats_reseed_interval(capsys):
+    # past 2^20 bits the default interval has reseeded and interval 0 has not
+    bits = 1_100_000
+    code, out, _ = run(["stats", "--seed-hex", SEED, "--bits", str(bits),
+                        "--reseed-interval", "0"], capsys)
+    ent = EntropyInput(bytes(32))
+    expected = [rep.line() for rep in run_battery(Generator(ent, reseed_interval=0), bits)]
+    assert code == 0
+    assert out.splitlines() == expected
+    assert expected != [rep.line() for rep in run_battery(Generator(ent), bits)]
+
+
 def test_dieharder_dump(tmp_path, capsys):
     path = tmp_path / "dump.bin"
     code, _, err = run(["dieharder-dump", "--seed-hex", SEED, "--bytes", "1024",
@@ -164,6 +177,9 @@ def test_dump_io_error_exits_2(capsys):
     ["qkd-demo", "--photons", "0", "--alice-seed-hex", SEED, "--bob-seed-hex", SEED2],
     ["bench", "--seed-hex", SEED, "--runs", "0"],
     ["bench", "--seed-hex", SEED, "--bytes", "0"],
+    ["stats", "--seed-hex", SEED, "--reseed-interval", "-1"],
+    ["dieharder-dump", "--seed-hex", SEED, "--reseed-interval", "-1", "--out", "{out}"],
+    ["scatter", "--seed-hex", SEED, "--reseed-interval", "-1", "--out", "{out}"],
 ])
 def test_bad_count_exits_1(argv, tmp_path, capsys):
     out = tmp_path / "out.bin"

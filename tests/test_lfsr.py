@@ -3,12 +3,15 @@ import random
 import pytest
 
 from lwerng.errors import DegenerateState
-from lwerng.lfsr import LfsrBank, format_trace_line, initialize
+from lwerng.lfsr import LfsrBank, _feed, format_trace_line, initialize
 from lwerng.lwe_hiding import HiddenSeed, hide
 from lwerng.params import Params
 
 from oracles import (
+    IntBank,
     bits_to_int,
+    int_emit,
+    int_step,
     ref_emit,
     ref_initialize,
     ref_step,
@@ -124,11 +127,36 @@ def test_step_single_bit_word(params):
 
 
 def test_step_full_word_bit_count(params):
+    # S = 528 pops take three FIFO moves: 256, 256 and 16 bits
     rng = random.Random(101)
     regs = [rng.getrandbits(256) for _ in range(3)] + [0xFFFFFFFF]
     bank = LfsrBank.from_state(params, regs=regs, mask=0)
-    _, w = bank.step()
+    v, w = bank.step()
     assert w == 3 * sum(range(1, 33)) + 32 == 1616
+    expected_regs, cursor, expected_v, _ = int_step(regs, 0)
+    assert v == expected_v
+    assert bank.regs == expected_regs and bank.coeff_cursor == cursor
+
+
+def chunk_loop(w):
+    """W's chunks and S by walking w's set bits one at a time."""
+    feed = off = 0
+    for pos in range(1, 33):
+        if (w >> (pos - 1)) & 1:
+            feed |= (w & ((1 << pos) - 1)) << off
+            off += pos
+    return feed, off
+
+
+def test_byte_tables_match_chunk_loop():
+    rng = random.Random(110)
+    words = [(rng.getrandbits(32) & ~(0xFF << (8 * j))) | (b << (8 * j))
+             for j in range(4) for b in range(256)]
+    words += [b << (8 * j) for j in range(4) for b in range(256)]
+    words += [rng.getrandbits(32) for _ in range(2000)] + [0xFFFFFFFF]
+    for w in words:
+        assert _feed(w) == chunk_loop(w), hex(w)
+    assert _feed(0xFFFFFFFF)[1] == 528
 
 
 def test_step_matches_reference(params):
@@ -228,6 +256,46 @@ def test_degenerate_emit_keeps_buffered_bits(params):
     assert bank.emit_bits(4) == raw_v
 
 
+def test_emit_matches_int_emit_long(params):
+    # >= 20480 steps per seed in reads that split steps and cross the
+    # 7168-bit mask period; the end state must match too
+    sizes = [1, 5, 7, 100, 811, 7169, 32768, 3, 98304, 14336, 0, 1616]
+    for seed in (112, 113, 114):
+        rng = random.Random(seed)
+        coeffs = [rng.getrandbits(32) % params.q for _ in range(256)]
+        bank = initialize(fake_seed(coeffs, params))
+        ref = IntBank(bank.regs, bank.mask)
+        i = 0
+        while ref.steps < 20480:
+            n = sizes[i % len(sizes)]
+            assert bank.emit_bits(n) == int_emit(ref, n), (seed, i, n)
+            i += 1
+        assert bank.regs == ref.regs
+        assert bank.coeff_cursor == ref.coeff_cursor
+        assert bank.mask_cursor == ref.mask_cursor
+
+
+def test_degenerate_inside_one_emit(params):
+    # the master empties on the second emitting step (ninth step) of one
+    # request; a later read gets exactly the bits stepped out before that
+    rng = random.Random(19)
+    state = dict(regs=[rng.getrandbits(256) for _ in range(3)] + [0b101],
+                 mask=rng.getrandbits(params.mask_bits))
+    bank = LfsrBank.from_state(params, **state)
+    ref = IntBank(**state)
+    with pytest.raises(DegenerateState):
+        bank.emit_bits(10_000)
+    with pytest.raises(DegenerateState):
+        int_emit(ref, 10_000)
+    assert ref.steps == 9 and ref.buflen > 4
+    assert bank.regs == ref.regs and bank.regs[3] == 0
+    assert bank.coeff_cursor == ref.coeff_cursor
+    assert bank.mask_cursor == ref.mask_cursor
+    assert bank.emit_bits(ref.buflen) == int_emit(ref, ref.buflen)
+    with pytest.raises(DegenerateState):
+        bank.emit_bits(1)
+
+
 def test_mask_cursor_wraps(params):
     rng = random.Random(109)
     coeffs = [rng.getrandbits(32) % params.q for _ in range(256)]
@@ -240,13 +308,19 @@ def test_trace_record_and_format(params):
     bank = LfsrBank.from_state(params, regs=[0b10, 0b11, 0b01, 1], mask=0)
     v, w, trace = bank.step_trace()
     assert (v, w) == (0b1110, 4)
-    assert trace["cursor"] == 0 and trace["word"] == 1
-    assert trace["shifts"] == [(1, 0, 1, 1, 1, 0, 0)]
-    count, l4o, peak, fb4 = trace["master"]
-    assert count == 1 and l4o == 1
-    line = format_trace_line(trace)
-    assert line.startswith("cursor=0 w=00000001")
-    assert "p=1" in line and "l4:c=1" in line
+    assert trace == {"cursor": 0, "word": 1, "master": (1, 1, 1, 0)}
+    assert format_trace_line(trace) == "cursor=0 w=00000001 l4:c=1:o=1:peak=00000001:fb=0"
+    # the record of every step, zero words included, equals int_step's
+    rng = random.Random(115)
+    regs = [rng.getrandbits(256) for _ in range(3)] + [rng.getrandbits(64) << 192]
+    bank = LfsrBank.from_state(params, regs=regs, mask=0)
+    cursor = 0
+    for _ in range(24):
+        v, w, trace = bank.step_trace()
+        expected = {}
+        regs, cursor, ev, ew = int_step(regs, cursor, expected)
+        assert (v, w) == (ev, ew)
+        assert trace == expected
 
 
 def test_initialize_from_real_hide(ent_zero, params):
