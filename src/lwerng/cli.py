@@ -1,12 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error (bad flags, bad seed material),
-2 runtime error.  All commands are deterministic under an explicit
+2 runtime error, or a `stats` battery test below the fail threshold.
+All commands are deterministic under an explicit
 --seed-hex; without one, 32 bytes come from the seed file named by
 $LWERNG_SEED_FILE or, failing that, from the operating system.
 """
 
 import argparse
+import json
+import math
 import os
 import statistics
 import sys
@@ -18,6 +21,7 @@ from .params import default_params
 from .qkd import run_session
 from .sampling import SEED_BYTES, EntropyInput
 from .stats import (
+    FAIL_P,
     MIN_BATTERY_BITS,
     dump_raw,
     run_battery,
@@ -97,6 +101,8 @@ def _build_parser():
     s.set_defaults(func=_cmd_stats)
     _add_seed_args(s)
     s.add_argument("--bits", type=_at_least(MIN_BATTERY_BITS), default=10_000_000)
+    s.add_argument("--json", action="store_true",
+                   help="print one JSON array of test reports")
     _add_reseed_arg(s)
 
     d = sub.add_parser("dieharder-dump", help="dump raw bytes for an external suite")
@@ -171,10 +177,25 @@ def _cmd_generate(args) -> int:
 def _cmd_stats(args) -> int:
     ent = _resolve_entropy(args.seed_hex, args.seed_file)
     reports = run_battery(Generator(ent, reseed_interval=args.reseed_interval), args.bits)
-    for rep in reports:
-        print(rep.line())
+    if args.json:
+        print(_reports_json(reports))
+    else:
+        for rep in reports:
+            print(rep.line())
     worst = min(rep.p_value for rep in reports)
-    return 0 if worst >= 1e-6 else 2
+    return 0 if worst >= FAIL_P else 2
+
+
+def _reports_json(reports) -> str:
+    """Battery reports as strict JSON; a non-finite statistic (runs when its
+    frequency precondition fails) is written as null."""
+    return json.dumps([
+        {"test_name": rep.test_name,
+         "statistic": rep.statistic if math.isfinite(rep.statistic) else None,
+         "p_value": rep.p_value,
+         "verdict": rep.verdict}
+        for rep in reports
+    ], allow_nan=False)
 
 
 def _cmd_dump(args) -> int:

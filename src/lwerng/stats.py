@@ -6,6 +6,25 @@ The battery is a desk-scale screen: monobit frequency, block frequency
 64-bit word lag-1 serial correlation.  Verdict thresholds follow the usual
 external-suite convention: fail below 1e-6, weak below 0.005.
 
+The four bit-level tests (NIST SP 800-22 frequency, block frequency, runs
+and serial with m = 2) are functions of three integer counts, so the
+battery never unpacks the buffer to one byte per bit.  One pass views the
+packed bytes as little-endian 64-bit words, clears the bits past nbits in
+the last word, and takes from the popcounts:
+
+* ``ones``, the number of set bits;
+* the ones in each 128-bit block (two words);
+* ``T``, the number of unequal adjacent pairs (j, j+1) with j + 1 < nbits:
+  the popcount of ``w ^ ((w >> 1) | (next_word << 63))``;
+* the first and the last bit.
+
+Runs counts ``v = T + 1`` runs.  The serial test's cyclic pair counts
+follow in closed form: round the cycle, 01 and 10 pairs alternate, so with
+``c = (T + [first != last]) // 2`` they are ``c01 = c10 = c``,
+``c11 = ones - c`` and ``c00 = n - ones - c``.  Every count is an exact
+integer, so each statistic equals the per-bit computation's to the last
+bit (``tests/oracles.py::ref_battery`` is that computation).
+
 The raw dump is a headerless byte file of the generator output, bit-exact
 under the LSB-first packing, suitable for `dieharder -g 201 -f <file>`.
 """
@@ -22,6 +41,7 @@ FAIL_P = 1e-6
 WEAK_P = 0.005
 
 MIN_BATTERY_BITS = 1_000_000
+BLOCK_BITS = 128  # block frequency block: two 64-bit words
 
 
 @dataclass
@@ -60,48 +80,75 @@ def run_battery(source, nbits: int) -> list:
     if nbits < MIN_BATTERY_BITS:
         raise InsufficientBits(f"battery needs >= {MIN_BATTERY_BITS} bits, got {nbits}")
     data = _take_bytes(source, (nbits + 7) // 8)
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")[:nbits]
+    c = _bit_counts(data, nbits)
     return [
-        TestReport.from_p("monobit", *_monobit(bits)),
-        TestReport.from_p("block_frequency", *_block_frequency(bits, 128)),
-        TestReport.from_p("runs", *_runs(bits)),
-        TestReport.from_p("serial_2bit", *_serial_2bit(bits)),
+        TestReport.from_p("monobit", *_monobit(c)),
+        TestReport.from_p("block_frequency", *_block_frequency(c)),
+        TestReport.from_p("runs", *_runs(c)),
+        TestReport.from_p("serial_2bit", *_serial_2bit(c)),
         TestReport.from_p("byte_chi_square", *_byte_chi_square(data, nbits)),
         TestReport.from_p("serial_corr_64", *_serial_corr_64(data, nbits)),
     ]
 
 
-def _monobit(bits):
-    n = bits.size
-    s = abs(2 * int(bits.sum()) - n)
+@dataclass(frozen=True)
+class _BitCounts:
+    n: int
+    ones: int
+    block_ones: np.ndarray  # ones in each whole BLOCK_BITS block
+    transitions: int  # unequal pairs (j, j+1), j + 1 < n
+    first: int
+    last: int
+
+
+def _bit_counts(data: bytes, nbits: int) -> _BitCounts:
+    """One popcount pass over the first nbits of data as 64-bit words."""
+    words = np.zeros((nbits + 63) // 64, dtype="<u8")
+    words.view(np.uint8)[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+    words[-1] &= np.uint64(((1 << 64) - 1) >> (-nbits % 64))  # clear bits past nbits
+    pop = np.bitwise_count(words)
+    nblocks = nbits // BLOCK_BITS
+    block_ones = pop[: 2 * nblocks].reshape(nblocks, 2).sum(axis=1, dtype=np.int64)
+    carry = np.zeros_like(words)
+    carry[:-1] = words[1:] << 63
+    diff = words ^ ((words >> 1) | carry)
+    last = int(words[-1] >> ((nbits - 1) % 64)) & 1
+    # diff's bit nbits-1 compares the last bit with the cleared bit past it
+    transitions = int(np.bitwise_count(diff).sum()) - last
+    return _BitCounts(nbits, int(pop.sum()), block_ones, transitions,
+                      int(words[0]) & 1, last)
+
+
+def _monobit(c):
+    n = c.n
+    s = abs(2 * c.ones - n)
     return float(s) / math.sqrt(n), math.erfc(s / math.sqrt(2 * n))
 
 
-def _block_frequency(bits, block):
-    nblocks = bits.size // block
-    props = bits[: nblocks * block].reshape(nblocks, block).mean(axis=1)
-    chi2 = 4.0 * block * float(((props - 0.5) ** 2).sum())
-    return chi2, float(gammaincc(nblocks / 2.0, chi2 / 2.0))
+def _block_frequency(c):
+    # 4 M sum((k/M - 1/2)^2) = 4 sum((k - M/2)^2) / M, exact for M a power of two
+    dev = int(((c.block_ones - BLOCK_BITS // 2) ** 2).sum())
+    chi2 = 4.0 * dev / BLOCK_BITS
+    return chi2, float(gammaincc(c.block_ones.size / 2.0, chi2 / 2.0))
 
 
-def _runs(bits):
-    n = bits.size
-    pi = float(bits.mean())
+def _runs(c):
+    n = c.n
+    pi = c.ones / n
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n):  # frequency precondition
         return float("inf"), 0.0
-    v = int(np.count_nonzero(bits[1:] != bits[:-1])) + 1
+    v = c.transitions + 1
     num = abs(v - 2.0 * n * pi * (1 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1 - pi)
     return num / den, math.erfc(num / den / math.sqrt(2))
 
 
-def _serial_2bit(bits):
+def _serial_2bit(c):
     """Overlapping serial test with pattern length 2 (cyclic extension)."""
-    n = bits.size
-    ext = np.concatenate([bits, bits[:1]])
-    pairs = 2 * ext[:-1].astype(np.int64) + ext[1:]
-    c2 = np.bincount(pairs, minlength=4).astype(np.float64)
-    c1 = np.bincount(bits, minlength=2).astype(np.float64)
+    n, ones = c.n, c.ones
+    cross = (c.transitions + (c.first != c.last)) // 2  # 01 pairs = 10 pairs
+    c2 = np.array([n - ones - cross, cross, cross, ones - cross], dtype=np.float64)
+    c1 = np.array([n - ones, ones], dtype=np.float64)
     psi2 = (4.0 / n) * float((c2**2).sum()) - n
     psi1 = (2.0 / n) * float((c1**2).sum()) - n
     delta = psi2 - psi1

@@ -10,15 +10,21 @@ references: they shift once per set bit of the governing word on 256-bit
 ints and whiten step by step, where the package runs a FIFO walk and one
 vectorised gather per read.  The one exception is `hide_transcript`, which
 redraws what `hide` discards with the package samplers that define it (the
-`ref_*` samplers check those).
+`ref_*` samplers check those).  `ref_battery` is the per-bit battery: it
+unpacks the buffer to one byte per bit and counts pairs with `bincount`,
+where the package counts popcounts of 64-bit words; it shares only the
+package's `TestReport` verdict rule.
 """
 
 import hashlib
+import math
 
 import numpy as np
+from scipy.special import gammaincc
 
 from lwerng.errors import DegenerateState
 from lwerng.sampling import expand_matrix, sample_error, sample_secret, seed_payload
+from lwerng.stats import TestReport
 
 
 # --- sampler oracles ---------------------------------------------------------
@@ -458,3 +464,79 @@ def int_emit(bank, nbits):
     bank.buf >>= nbits
     bank.buflen -= nbits
     return out
+
+
+# --- per-bit battery reference -----------------------------------------------
+
+def ref_battery(data, nbits):
+    """The six battery tests over the first nbits of data, one byte per bit."""
+    data = bytes(data[: (nbits + 7) // 8])
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")[:nbits]
+    return [
+        TestReport.from_p("monobit", *_monobit(bits)),
+        TestReport.from_p("block_frequency", *_block_frequency(bits, 128)),
+        TestReport.from_p("runs", *_runs(bits)),
+        TestReport.from_p("serial_2bit", *_serial_2bit(bits)),
+        TestReport.from_p("byte_chi_square", *_byte_chi_square(data, nbits)),
+        TestReport.from_p("serial_corr_64", *_serial_corr_64(data, nbits)),
+    ]
+
+
+def _monobit(bits):
+    n = bits.size
+    s = abs(2 * int(bits.sum()) - n)
+    return float(s) / math.sqrt(n), math.erfc(s / math.sqrt(2 * n))
+
+
+def _block_frequency(bits, block):
+    nblocks = bits.size // block
+    props = bits[: nblocks * block].reshape(nblocks, block).mean(axis=1)
+    chi2 = 4.0 * block * float(((props - 0.5) ** 2).sum())
+    return chi2, float(gammaincc(nblocks / 2.0, chi2 / 2.0))
+
+
+def _runs(bits):
+    n = bits.size
+    pi = float(bits.mean())
+    if abs(pi - 0.5) >= 2.0 / math.sqrt(n):  # frequency precondition
+        return float("inf"), 0.0
+    v = int(np.count_nonzero(bits[1:] != bits[:-1])) + 1
+    num = abs(v - 2.0 * n * pi * (1 - pi))
+    den = 2.0 * math.sqrt(2.0 * n) * pi * (1 - pi)
+    return num / den, math.erfc(num / den / math.sqrt(2))
+
+
+def _serial_2bit(bits):
+    """Overlapping serial test with pattern length 2 (cyclic extension)."""
+    n = bits.size
+    ext = np.concatenate([bits, bits[:1]])
+    pairs = 2 * ext[:-1].astype(np.int64) + ext[1:]
+    c2 = np.bincount(pairs, minlength=4).astype(np.float64)
+    c1 = np.bincount(bits, minlength=2).astype(np.float64)
+    psi2 = (4.0 / n) * float((c2**2).sum()) - n
+    psi1 = (2.0 / n) * float((c1**2).sum()) - n
+    delta = psi2 - psi1
+    return delta, float(gammaincc(1.0, delta / 2.0))
+
+
+def _byte_chi_square(data, nbits):
+    nbytes = nbits // 8
+    counts = np.bincount(np.frombuffer(data[:nbytes], dtype=np.uint8), minlength=256)
+    expected = nbytes / 256.0
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    return chi2, float(gammaincc(255 / 2.0, chi2 / 2.0))
+
+
+def _serial_corr_64(data, nbits):
+    """Lag-1 serial correlation of consecutive 64-bit words (normal approx)."""
+    nwords = nbits // 64
+    w = np.frombuffer(data[: nwords * 8], dtype="<u8").astype(np.float64)
+    n = w.size
+    mean = w.mean()
+    num = float(((w[:-1] - mean) * (w[1:] - mean)).sum())
+    den = float(((w - mean) ** 2).sum())
+    r = num / den if den else 0.0
+    mu = -1.0 / (n - 1)
+    sigma = math.sqrt(n * (n - 3.0) / ((n + 1.0) * (n - 1.0) ** 2))
+    z = abs(r - mu) / sigma
+    return r, math.erfc(z / math.sqrt(2))

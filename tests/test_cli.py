@@ -1,10 +1,11 @@
+import json
 import os
 
 import pytest
 
 from lwerng.cli import bench_rates, main
 from lwerng.sampling import EntropyInput
-from lwerng.stats import run_battery
+from lwerng.stats import TestReport, run_battery
 from lwerng.stream import Generator
 
 SEED = "00" * 32
@@ -100,6 +101,42 @@ def test_stats_reseed_interval(capsys):
     assert code == 0
     assert out.splitlines() == expected
     assert expected != [rep.line() for rep in run_battery(Generator(ent), bits)]
+
+
+def test_stats_json(capsys):
+    code, out, _ = run(["stats", "--seed-hex", SEED, "--bits", "1000000", "--json"], capsys)
+    expected = run_battery(Generator(EntropyInput(bytes(32))), 1_000_000)
+    assert code == 0
+    assert json.loads(out) == [
+        {"test_name": r.test_name, "statistic": r.statistic, "p_value": r.p_value,
+         "verdict": r.verdict} for r in expected]
+
+
+def failing_battery(source, nbits):
+    # all-zero input: runs fails its frequency precondition with an inf statistic
+    return [TestReport.from_p("monobit", 1000.0, 0.0),
+            TestReport.from_p("runs", float("inf"), 0.0),
+            TestReport.from_p("serial_2bit", 1.0, 0.5)]
+
+
+def test_stats_failed_test_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr("lwerng.cli.run_battery", failing_battery)
+    code, out, _ = run(["stats", "--seed-hex", SEED, "--bits", "1000000"], capsys)
+    assert code == 2
+    assert out.count("FAIL") == 2 and "PASS" in out
+
+
+def test_stats_json_writes_inf_statistic_as_null(monkeypatch, capsys):
+    monkeypatch.setattr("lwerng.cli.run_battery", failing_battery)
+    code, out, _ = run(["stats", "--seed-hex", SEED, "--bits", "1000000", "--json"], capsys)
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    reports = json.loads(out, parse_constant=reject)
+    assert code == 2
+    assert [r["statistic"] for r in reports] == [1000.0, None, 1.0]
+    assert [r["verdict"] for r in reports] == ["fail", "fail", "pass"]
 
 
 def test_dieharder_dump(tmp_path, capsys):

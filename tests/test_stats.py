@@ -3,6 +3,7 @@ import io
 
 import numpy as np
 import pytest
+from oracles import ref_battery
 
 from lwerng.errors import InsufficientBits
 from lwerng.sampling import EntropyInput
@@ -69,6 +70,37 @@ def test_battery_p_values_uniformish_over_repetitions():
         data = shake_stream(N_BITS // 8, tag=b"rep%d" % rep)
         fails += sum(r.p_value < 1e-6 for r in run_battery(data, N_BITS))
     assert fails <= 1
+
+
+# straddle the byte, word and 128-bit block boundaries
+BATTERY_NBITS = [N_BITS + k for k in (0, 1, 7, 63, 64, 65, 127, 129)] + [
+    4_194_241, 4_194_303, 1 << 22]
+
+
+@pytest.fixture(scope="module")
+def battery_buffers():
+    nbytes = (1 << 19) + 16
+    gen = Generator(EntropyInput(bytes(range(32)))).next_bytes(nbytes)
+    return {"generator": gen, "shake": shake_stream(nbytes, tag=b"exact")}
+
+
+def assert_battery_exact(data, nbits):
+    # TestReport equality is == on name, statistic, p-value and verdict
+    assert run_battery(data, nbits) == ref_battery(data, nbits)
+
+
+@pytest.mark.parametrize("nbits", BATTERY_NBITS)
+def test_battery_matches_reference(battery_buffers, nbits):
+    for data in battery_buffers.values():
+        assert_battery_exact(data, nbits)
+    if nbits % 8:
+        # set the unused bits of the last byte: the battery must ignore them
+        tail = bytearray(battery_buffers["shake"])
+        tail[nbits // 8] |= (0xFF << (nbits % 8)) & 0xFF
+        assert_battery_exact(bytes(tail), nbits)
+    if nbits < 2 * N_BITS:  # the 10^6 + k lengths already cross every boundary
+        for fill in (0x00, 0xFF, 0x55, 0xAA):
+            assert_battery_exact(bytes([fill]) * ((nbits + 7) // 8), nbits)
 
 
 def test_report_line_format():
