@@ -139,6 +139,8 @@ def _build_parser():
     be.add_argument("--bytes", type=_POSITIVE, default=100_000_000, dest="nbytes",
                     help="bytes generated per run")
     be.add_argument("--runs", type=_POSITIVE, default=5)
+    be.add_argument("--json", action="store_true",
+                    help="print one JSON object of the rates and settings")
     _add_reseed_arg(be)
     return ap
 
@@ -247,11 +249,17 @@ def _cmd_qkd(args) -> int:
 def _cmd_bench(args) -> int:
     ent = _resolve_entropy(args.seed_hex, args.seed_file)
     rates = bench_rates(ent, args.nbytes, args.runs, args.reseed_interval)
+    median = statistics.median(rates)
+    if args.json:
+        print(json.dumps({"rates_mbit_s": rates, "median_mbit_s": median,
+                          "nbytes": args.nbytes,
+                          "reseed_interval": args.reseed_interval}, allow_nan=False))
+        return 0
     for i, rate in enumerate(rates):
         print(f"run {i + 1}: {rate:.3f} Mbit/s")
-    print(f"median: {statistics.median(rates):.3f} Mbit/s "
-          f"({args.nbytes} bytes/run, reseed interval {args.reseed_interval} bits, "
-          "single-threaded)")
+    print(f"median: {median:.3f} Mbit/s "
+          f"({args.nbytes} bytes/run, reseed interval {args.reseed_interval} bits; "
+          "hide's ring matmuls may use OpenBLAS threads)")
     return 0
 
 

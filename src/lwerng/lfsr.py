@@ -65,6 +65,7 @@ import numpy as np
 from .errors import DegenerateState
 from .lwe_hiding import HiddenSeed
 from .params import Params, default_params
+from .polyring import serialize
 
 _M32 = 0xFFFFFFFF
 _REG_BITS = Params.lfsr_bits
@@ -327,30 +328,21 @@ def initialize(hs: HiddenSeed) -> LfsrBank:
     _require_mask_words(p)  # before the fill: a shorter polynomial cannot fill it
     coeffs = hs.b[0]
     words_per_reg = p.lfsr_bits // p.word_bits
-    state_words = p.state_bits // p.word_bits
 
-    words = [[0] * words_per_reg for _ in range(4)]
-    for reg in range(4):
-        words[reg][0] = coeffs[reg]
-    nxt = 4
+    # coefficient index of each register word, round by round
+    fill = [[reg] for reg in range(4)]
     for rnd in range(1, words_per_reg):
-        x12 = words[0][rnd - 1] ^ words[1][rnd - 1]
-        x34 = words[2][rnd - 1] ^ words[3][rnd - 1]
+        x12 = coeffs[fill[0][-1]] ^ coeffs[fill[1][-1]]
+        x34 = coeffs[fill[2][-1]] ^ coeffs[fill[3][-1]]
         order = (2, 3, 0, 1) if x34 > x12 else (0, 1, 2, 3)
-        for reg in order:
-            words[reg][rnd] = coeffs[nxt]
-            nxt += 1
+        for k, reg in enumerate(order):
+            fill[reg].append(4 * rnd + k)
 
-    regs = []
-    for reg in range(4):
-        acc = 0
-        for i, wv in enumerate(words[reg]):
-            acc |= wv << (i * p.word_bits)
-        regs.append(acc)
-
-    mask = 0
-    for i, c in enumerate(coeffs[state_words:]):
-        mask |= c << (i * p.word_bits)
+    # register words and mask are read from the normative serialization
+    raw = serialize(coeffs, p)
+    regs = [int.from_bytes(b"".join(raw[4 * i:4 * i + 4] for i in idx), "little")
+            for idx in fill]
+    mask = int.from_bytes(raw[p.state_bits // 8:], "little")
 
     if regs[3] == 0:
         raise DegenerateState("master register filled with all zeros")

@@ -25,7 +25,8 @@ class Params:
         n: secret vector dimension.
         m: sample vector dimension.
         degree: polynomial degree (power of two, at most 2^10).
-        eta: bound of the secret/error coefficients (support {-eta..eta}).
+        eta: bound of the secret/error coefficients (support {-eta..eta});
+            must satisfy 2*eta < q.
     """
 
     q: int = 8380417
@@ -92,7 +93,7 @@ def validate(p: Params) -> None:
         InvalidModulus: q fails oddness, q = 1 (mod 2*degree), the bound
             q < 2^26, or no 2*degree-th root exists; or degree is not a
             power of two in [2, 2^10].
-        InconsistentLayout: n, m or eta is not positive.
+        InconsistentLayout: n, m or eta is not positive, or 2*eta >= q.
     """
     if p.q < 2 or p.q % 2 == 0:
         raise InvalidModulus(f"q={p.q} must be an odd integer >= 3")
@@ -114,3 +115,5 @@ def validate(p: Params) -> None:
         raise InvalidModulus(f"derived root {psi} is not a primitive 2*degree-th root")
     if p.n < 1 or p.m < 1 or p.eta < 1:
         raise InconsistentLayout("n, m and eta must be positive")
+    if 2 * p.eta >= p.q:
+        raise InconsistentLayout(f"2*eta={2 * p.eta} is not below q={p.q}")

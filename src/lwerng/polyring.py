@@ -8,7 +8,8 @@ through the negacyclic number-theoretic transform, applied as one dense
 degree x degree matrix product over all leading axes at once.  All
 arithmetic is exact: every `Params` is validated when built, which keeps q
 below 2^26 and degree at most 2^10.  The transforms' float64 products work
-on 13-bit limbs, so their sums stay below 2^49 (see `ntt`); in int64 a
+on 13-bit limbs, so their sums stay below 2^49 (see `ntt`), and one
+product per transform serves both limbs of every row; in int64 a
 product of two reduced coefficients is below 2^52, and the lazily reduced
 row sums of `mat_vec_mul` stay below 2^63.
 
@@ -54,22 +55,30 @@ def _transform(a, matrix, q: int) -> np.ndarray:
     """a @ matrix mod q over the last axis, exact (see ntt)."""
     a = np.asarray(a, dtype=np.int64)
     flat = a.reshape(-1, matrix.shape[0])
-    hi = (flat >> 13) @ matrix
-    lo = (flat & 0x1FFF) @ matrix
-    out = (hi.astype(np.int64) % q << 13) + lo.astype(np.int64)
-    return (out % q).reshape(a.shape)
+    rows = len(flat)
+    limbs = np.empty((2 * rows, flat.shape[1]), dtype=np.int64)  # hi rows, then lo rows
+    np.right_shift(flat, 13, out=limbs[:rows])
+    np.bitwise_and(flat, 0x1FFF, out=limbs[rows:])
+    prod = (limbs.astype(np.float64) @ matrix).astype(np.int64)
+    out = prod[:rows] << 13
+    out += prod[rows:]
+    out %= q
+    return out.reshape(a.shape)
 
 
 def ntt(a, p: Params) -> np.ndarray:
     """Forward negacyclic transform of every polynomial in a (..., degree) array.
 
     One dense degree x degree matrix product over the last axis, for
-    coefficients in [0, q).  It runs in float64 on 13-bit limbs,
-    hi = (a >> 13) @ M and lo = (a & 0x1FFF) @ M, recombined in int64 as
-    (hi mod q) * 2^13 + lo mod q.  Both products are exact: every term is
-    an integer below 2^13 * q and every partial sum one below
+    coefficients in [0, q).  It runs in float64 on 13-bit limbs: the N rows
+    of hi limbs a >> 13 and of lo limbs a & 0x1FFF are stacked into one
+    (2N, degree) operand, so a single product reads M once and yields
+    hi = (a >> 13) @ M and lo = (a & 0x1FFF) @ M.  Both are exact: every
+    term is an integer below 2^13 * q and every partial sum one below
     degree * 2^13 * q <= 2^49 < 2^53 (validate keeps degree <= 2^10 and
-    q < 2^26), so no summation order or fused multiply-add can round.
+    q < 2^26), so no summation order or fused multiply-add can round.  They
+    recombine in int64 with one reduction, (hi * 2^13 + lo) mod q, since
+    hi * 2^13 + lo < 2^62 + 2^49 < 2^63.
     """
     return _transform(a, _matrices(p.q, p.degree, p.psi)[0], p.q)
 

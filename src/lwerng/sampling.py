@@ -57,17 +57,24 @@ def _accepted(xofs, width: int, keep: int, bound: int, need: int) -> np.ndarray:
     """Per XOF, the first `need` values below `bound`; an (len(xofs), need) array.
 
     Each value is a width-bit LSB-first field of the digest cut to its low
-    `keep` bits.  The first read covers the expected number of draws plus
-    slack; a digest that yields too few values is read again at twice the
-    length.  A shorter shake_256 digest is a prefix of every longer one, so
-    the values equal those of a reader that takes one field at a time.
+    `keep` bits.  The field starting at bit t is the little-endian 64-bit
+    word at byte t // 8 shifted right by t % 8; t % 8 + width <= 64 holds
+    because no width exceeds 32 bits (q < 2^26 and 2*eta < q).  The words
+    at every byte offset are one overlapping view of the digest, so the
+    read is exact integer arithmetic with no per-bit array.  The first read
+    covers the expected number of draws plus slack; a digest that yields
+    too few values is read again at twice the length.  A shorter shake_256
+    digest is a prefix of every longer one, so the values equal those of a
+    reader that takes one field at a time.
     """
     draws = (need << keep) // bound + need // 16
     draws += -draws % 8  # whole bytes per digest: no field straddles two XOFs
-    weights = 1 << np.arange(keep, dtype=np.int64)
     while True:
         raw = b"".join(x.digest(draws * width // 8) for x in xofs)
-        fields = _bits(raw).reshape(len(xofs), draws, width)[:, :, :keep] @ weights
+        words = np.ndarray(len(raw), "<u8", raw + bytes(7), strides=(1,))
+        starts = np.arange(0, 8 * len(raw), width, dtype=np.uint64)
+        fields = (words[starts >> 3] >> (starts & 7)) & ((1 << keep) - 1)
+        fields = fields.astype(np.int64).reshape(len(xofs), draws)
         ok = fields < bound
         if ok.sum(axis=1).min() >= need:
             return fields[ok & (ok.cumsum(axis=1) <= need)].reshape(len(xofs), need)

@@ -283,8 +283,12 @@ def bits_to_int(bits):
     return acc
 
 
-def ref_initialize(coeffs):
-    """Registers (bit lists) and mask (bit list) from 256 coefficients."""
+def ref_initialize(coeffs, mask_bits=MASK_BITS):
+    """Registers (bit lists) and mask (bit list) from the designated coefficients.
+
+    The first 32 fill the registers and the rest, mask_bits // 32 of them,
+    the mask (256 coefficients at the default geometry).
+    """
     words = [[None] * WORDS_PER_REG for _ in range(4)]
     for reg in range(4):
         words[reg][0] = coeffs[reg]
@@ -308,7 +312,7 @@ def ref_initialize(coeffs):
     mask = []
     for c in coeffs[32:]:
         mask.extend(word_to_bits(c))
-    assert len(mask) == MASK_BITS
+    assert len(mask) == mask_bits
     return regs, mask
 
 

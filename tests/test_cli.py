@@ -234,6 +234,21 @@ def test_bench_command(capsys):
     assert "median:" in out and "Mbit/s" in out
 
 
+def test_bench_json(capsys):
+    code, out, _ = run(["bench", "--seed-hex", SEED, "--bytes", "100000", "--runs", "3",
+                        "--reseed-interval", "4096", "--json"], capsys)
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    report = json.loads(out, parse_constant=reject)
+    assert code == 0
+    assert set(report) == {"rates_mbit_s", "median_mbit_s", "nbytes", "reseed_interval"}
+    assert len(report["rates_mbit_s"]) == 3 and all(r > 0 for r in report["rates_mbit_s"])
+    assert report["median_mbit_s"] == sorted(report["rates_mbit_s"])[1]
+    assert report["nbytes"] == 100000 and report["reseed_interval"] == 4096
+
+
 def test_bench_rates_function():
     rates = bench_rates(EntropyInput(bytes(32)), 100_000, 2)
     assert len(rates) == 2 and all(r > 0 for r in rates)

@@ -56,6 +56,22 @@ def test_initialize_matches_reference(params):
         assert bank.mask == bits_to_int(oracle_mask)
 
 
+@pytest.mark.parametrize("p", [Params(q=67104769), Params(q=257, degree=64)],
+                         ids=["q26", "degree64"])
+def test_initialize_matches_reference_at_other_geometries(p):
+    # coefficients up to q - 1 < 2^26 fill every word to its top set bit, and
+    # degree 64 leaves a 1024-bit mask of 32 words
+    rng = random.Random(101)
+    for trial in range(20):
+        coeffs = [rng.randrange(p.q) for _ in range(p.degree)]
+        if trial == 0:
+            coeffs = [p.q - 1] * p.degree
+        bank = initialize(fake_seed(coeffs, p))
+        oracle_regs, oracle_mask = ref_initialize(coeffs, p.mask_bits)
+        assert bank.regs == regs_from_oracle(oracle_regs)
+        assert bank.mask == bits_to_int(oracle_mask)
+
+
 def test_initialize_order_swap_branch(params):
     # x34 > x12 in round 1 sends the first two coefficients to L3, L4
     coeffs = [0, 0, 0, 1] + list(range(100, 128)) + [0] * 224

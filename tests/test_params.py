@@ -76,6 +76,14 @@ def test_nonpositive_dimensions_rejected():
             Params(**bad)
 
 
+def test_eta_must_fit_below_half_q():
+    # {-eta..eta} must be 2*eta + 1 distinct residues; this also keeps every
+    # secret read at most bitlen(q) bits wide
+    assert Params(q=257, degree=4, eta=128).eta == 128
+    with pytest.raises(InconsistentLayout):
+        Params(q=257, degree=4, eta=129)
+
+
 def test_budget_identity(params):
     assert params.degree * params.word_bits == 8192
     assert (params.lfsr_bits, params.state_bits, params.mask_bits) == (256, 1024, 7168)

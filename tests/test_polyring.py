@@ -62,6 +62,10 @@ def test_transform_exact_at_degree_bound():
     assert np.array_equal(pr.inv_ntt(x, p), ref_staged_inv_ntt(x, p))
     assert np.array_equal(pr.inv_ntt(fwd, p), x)
     assert fwd[-1].tolist() == ref_ntt(x[-1].tolist(), p)
+    # one 1-D polynomial: the hi and lo limb rows of a single row, at the bound
+    assert np.array_equal(pr.ntt(x[-1], p), fwd[-1])
+    assert np.array_equal(pr.inv_ntt(fwd[-1], p), x[-1])
+    assert np.array_equal(pr.inv_ntt(x[-1], p), ref_staged_inv_ntt(x[-1:], p)[0])
 
 
 def test_transform_matrices_read_only(params):

@@ -153,10 +153,12 @@ def test_reseed_derivation_distinct(ent_zero):
     assert derive_reseed_entropy(ent_zero, 1) == e1
 
 
-@pytest.mark.parametrize("which", ["params", "toy_params", "eta2", "eta3"])
+@pytest.mark.parametrize("which", ["params", "toy_params", "eta2", "eta3", "q26"])
 def test_samplers_match_sequential_reference(which, request):
-    # eta = 2 and 3 accept 5/8 and 7/8 of the 3-bit secret reads
-    p = {"eta2": Params(eta=2), "eta3": Params(eta=3)}.get(which)
+    # eta = 2 and 3 accept 5/8 and 7/8 of the 3-bit secret reads; q26 reads
+    # 26-bit fields from 32-bit reads, the widest that q < 2^26 allows
+    p = {"eta2": Params(eta=2), "eta3": Params(eta=3),
+         "q26": Params(q=67104769)}.get(which)
     if p is None:
         p = request.getfixturevalue(which)
     for tag in range(4000, 4006):
