@@ -3,7 +3,6 @@ lattice sample (b = A*s + e + r*floor(q/2)) and expanded by a four-register
 master/slave LFSR machine with mask whitening."""
 
 from .errors import (
-    CoefficientOutOfRange,
     DegenerateState,
     DimensionMismatch,
     IdenticalSeeds,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdvantageReport",
-    "CoefficientOutOfRange",
     "DEFAULT_RESEED_INTERVAL",
     "DegenerateState",
     "DimensionMismatch",

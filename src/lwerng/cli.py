@@ -30,6 +30,9 @@ from .stats import (
 )
 from .stream import DEFAULT_RESEED_INTERVAL, Generator
 
+# bytes per next_bytes call in `bench`
+_BENCH_READ_BYTES = 1 << 16
+
 
 class UsageError(Exception):
     pass
@@ -263,8 +266,7 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def bench_rates(ent, nbytes, runs, reseed_interval=DEFAULT_RESEED_INTERVAL,
-                chunk=1 << 16):
+def bench_rates(ent, nbytes, runs, reseed_interval=DEFAULT_RESEED_INTERVAL):
     """Wall-clock generation rates in Mbit/s (decimal), one per run."""
     rates = []
     for _ in range(runs):
@@ -272,7 +274,7 @@ def bench_rates(ent, nbytes, runs, reseed_interval=DEFAULT_RESEED_INTERVAL,
         left = nbytes
         t0 = time.perf_counter()
         while left > 0:
-            take = min(chunk, left)
+            take = min(_BENCH_READ_BYTES, left)
             gen.next_bytes(take)
             left -= take
         dt = time.perf_counter() - t0

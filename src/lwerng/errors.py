@@ -17,10 +17,6 @@ class DimensionMismatch(LwerngError):
     """Matrix/vector dimensions do not agree."""
 
 
-class CoefficientOutOfRange(LwerngError):
-    """A serialized word does not decode to a valid coefficient."""
-
-
 class InsufficientTrials(LwerngError):
     """Too few trials for the distinguishing experiment."""
 

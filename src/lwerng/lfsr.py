@@ -57,7 +57,8 @@ in two phases:
      position p, p bits of each slave's window; then the master's bits), and
      the raw bits are gathered.  `emit_bits` whitens them against the mask
      tiled from `mask_cursor` (raw bit g meets mask bit g mod mask_bits,
-     whatever the step boundaries) and packs them.
+     whatever the step boundaries) and hands them on as a bit array; the
+     stream packs them into bytes.
 """
 
 import numpy as np
@@ -186,8 +187,8 @@ class LfsrBank:
         self.mask = mask
         self.coeff_cursor = coeff_cursor
         self.mask_cursor = mask_cursor
-        self._buf = 0
-        self._buflen = 0
+        # whitened bits stepped out but not yet read, one uint8 per bit
+        self._buf = np.empty(0, np.uint8)
         nbytes = params.mask_bits // 8
         self._mask_bits = np.unpackbits(
             np.frombuffer((mask & ((1 << params.mask_bits) - 1)).to_bytes(nbytes, "little"),
@@ -288,8 +289,8 @@ class LfsrBank:
 
     # -- whitened emission -------------------------------------------------
 
-    def emit_bits(self, nbits: int) -> int:
-        """Exactly nbits whitened stream bits as an LSB-first integer.
+    def emit_bits(self, nbits: int) -> np.ndarray:
+        """Exactly nbits whitened stream bits, one uint8 per bit in stream order.
 
         Bits beyond the request stay buffered for the next call, so chunked
         emission concatenates to one large emission.  Raw bit g of the run
@@ -297,23 +298,21 @@ class LfsrBank:
         """
         if nbits < 0:
             raise ValueError("nbits must be >= 0")
-        if self._buflen < nbits and self.regs[3]:
+        buf = self._buf
+        if buf.size < nbits and self.regs[3]:
             # a nonzero master holds a nonzero word, so the walk records a step
-            raw = _gather(self._walk(nbits - self._buflen))
+            raw = _gather(self._walk(nbits - buf.size))
             c = self.mask_cursor
             reps = -(-(c + raw.size) // self._mask_bits.size)
             raw ^= np.concatenate((self._mask_bits,) * reps)[c:c + raw.size]
             self.mask_cursor = (c + raw.size) % self.params.mask_bits
-            self._buf |= int.from_bytes(np.packbits(raw, bitorder="little"),
-                                        "little") << self._buflen
-            self._buflen += raw.size
-        if self._buflen < nbits:
+            buf = np.concatenate((buf, raw)) if buf.size else raw
+            self._buf = buf
+        if buf.size < nbits:
             # the bits already stepped out stay buffered for a later, smaller read
             raise DegenerateState("master register is all-zero; stream exhausted")
-        out = self._buf & ((1 << nbits) - 1)
-        self._buf >>= nbits
-        self._buflen -= nbits
-        return out
+        self._buf = buf[nbits:]
+        return buf[:nbits]
 
 
 def initialize(hs: HiddenSeed) -> LfsrBank:

@@ -85,6 +85,9 @@ def oracle_plain(mat, s, rng: random.Random, p: Params = None):
 MODES = ("hiding_vs_uniform", "uniform_vs_uniform", "positive_control")
 
 MIN_TRIALS = 1000
+# trials per batch of the experiment: bounds its (trials, m*degree) arrays and
+# fixes the order of the rng's draws, so the hit counts depend on it
+_EXPERIMENT_CHUNK = 2048
 
 # median of the chi-square distribution with 15 degrees of freedom; the
 # threshold only has to be applied identically to both arms
@@ -122,7 +125,6 @@ def distinguishing_experiment(
     p: Params = None,
     mode: str = "hiding_vs_uniform",
     seed: int = 0,
-    chunk: int = 2048,
 ) -> AdvantageReport:
     """Empirical advantage of a fixed distinguisher battery between two arms.
 
@@ -146,7 +148,7 @@ def distinguishing_experiment(
     if mode == "positive_control":
         hits_a, hits_b = _positive_control_hits(trials, p)
     else:
-        hits_a, hits_b = _battery_hits(trials, p, mode, seed, chunk)
+        hits_a, hits_b = _battery_hits(trials, p, mode, seed)
 
     results = []
     for name in _DISTINGUISHER_NAMES:
@@ -187,7 +189,7 @@ def _distinguisher_hits(samples: np.ndarray, q: int) -> dict:
     }
 
 
-def _battery_hits(trials, p: Params, mode, seed, chunk):
+def _battery_hits(trials, p: Params, mode, seed):
     rng = np.random.default_rng(seed)
     q = p.q
     width = p.m * p.degree
@@ -195,7 +197,7 @@ def _battery_hits(trials, p: Params, mode, seed, chunk):
     hits_b = dict.fromkeys(_DISTINGUISHER_NAMES, 0)
     done = 0
     while done < trials:
-        t = min(chunk, trials - done)
+        t = min(_EXPERIMENT_CHUNK, trials - done)
         if mode == "hiding_vs_uniform":
             arm_a = _hiding_batch(rng, t, p)
         else:

@@ -107,8 +107,6 @@ def validate(p: Params) -> None:
         # products of reduced coefficients stay below 2^52, which leaves int64
         # headroom for the ring's lazy reduction (see polyring)
         raise InvalidModulus(f"q={p.q} is not below 2^26")
-    if p.k * p.degree + 1 != p.q:
-        raise InvalidModulus("k * degree + 1 != q")
     # existence of the root (guaranteed for prime q, not for composite)
     psi = p.psi
     if pow(psi, p.degree, p.q) != p.q - 1 or pow(psi, 2 * p.degree, p.q) != 1:

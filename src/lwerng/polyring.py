@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CoefficientOutOfRange, DimensionMismatch
+from .errors import DimensionMismatch
 from .params import Params
 
 
@@ -122,14 +122,3 @@ def serialize(a, p: Params) -> bytes:
     """Pack the polynomial into degree 32-bit little-endian words."""
     return struct.pack("<%dI" % p.degree, *a)
 
-
-def deserialize(raw: bytes, p: Params) -> list:
-    """Inverse of serialize(); every decoded word must be < q."""
-    nbytes = 4 * p.degree
-    if len(raw) != nbytes:
-        raise CoefficientOutOfRange(f"expected {nbytes} bytes, got {len(raw)}")
-    coeffs = list(struct.unpack("<%dI" % p.degree, raw))
-    for i, c in enumerate(coeffs):
-        if c >= p.q:
-            raise CoefficientOutOfRange(f"word {i} = {c} >= q = {p.q}")
-    return coeffs

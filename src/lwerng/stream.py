@@ -9,6 +9,8 @@ and rebuilds the concealment and the bank.  Interval 0 disables reseeding
 and runs the bank indefinitely with the cyclic whitening mask.
 """
 
+import numpy as np
+
 from .lfsr import LfsrBank, initialize
 from .lwe_hiding import hide
 from .params import Params, default_params
@@ -17,7 +19,7 @@ from .sampling import EntropyInput, derive_reseed_entropy
 DEFAULT_RESEED_INTERVAL = 1 << 20  # bits between automatic re-concealments
 
 # bits per emit_bits call: bounds one batch's step records and gather arrays
-# (a few MB at 2^18 bits) as well as the big-int buffers
+# (a few MB at 2^18 bits)
 _EMIT_CHUNK_BITS = 1 << 18
 
 
@@ -41,25 +43,24 @@ class Generator:
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
         need = 8 * nbytes
-        out = bytearray()
-        acc = 0
-        acc_len = 0
+        parts = []
+        # the < 8 bits of a segment that ended mid-byte at a reseed boundary
+        carry = np.empty(0, np.uint8)
         while need > 0:
             seg = min(need, _EMIT_CHUNK_BITS)
             if self.reseed_interval > 0:
                 seg = min(seg, self.reseed_interval - self.bits_emitted)
-            acc |= self.bank.emit_bits(seg) << acc_len
-            acc_len += seg
+            bits = self.bank.emit_bits(seg)
             self.bits_emitted += seg
             if self.reseed_interval > 0 and self.bits_emitted == self.reseed_interval:
                 self._reseed()
             need -= seg
-            whole = acc_len // 8
-            if whole:
-                out += (acc & ((1 << (8 * whole)) - 1)).to_bytes(whole, "little")
-                acc >>= 8 * whole
-                acc_len -= 8 * whole
-        return bytes(out)
+            if carry.size:
+                bits = np.concatenate((carry, bits))
+            whole = bits.size & ~7
+            parts.append(np.packbits(bits[:whole], bitorder="little").tobytes())
+            carry = bits[whole:]
+        return b"".join(parts)
 
     def fork_with_new_entropy(self, ent: EntropyInput) -> "Generator":
         """Independent generator with fresh entropy, same configuration."""

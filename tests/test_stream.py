@@ -1,10 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from lwerng.sampling import EntropyInput
+from lwerng.lfsr import initialize
+from lwerng.lwe_hiding import hide
+from lwerng.sampling import EntropyInput, derive_reseed_entropy
 from lwerng.stream import DEFAULT_RESEED_INTERVAL, Generator
 
 from conftest import fixed_ent
+from oracles import IntBank, int_emit
 
 
 def test_determinism_ten_million_bits(ent_zero):
@@ -73,6 +78,27 @@ def test_reseed_interval_not_byte_aligned(ent_zero):
     b = gen.next_bytes(100) + gen.next_bytes(412)
     assert a == b
     assert gen.generation == (512 * 8) // 1001
+
+
+@pytest.mark.parametrize("interval", [1001, (1 << 18) + 5])
+def test_matches_epoch_by_epoch_reference(ent_zero, interval):
+    # epoch k is int_emit on the bank of hide(e_k), e_0 = ent and e_k the
+    # derived reseed entropy, the epochs concatenated LSB-first.  Reads of
+    # mixed sizes cover at least three epochs; at (1 << 18) + 5 one read puts
+    # a 5-bit segment, carried into the next epoch, right after a full
+    # 2^18-bit segment.
+    sizes = itertools.cycle((1, 7, 4095, 40000, 3))
+    gen = Generator(ent_zero, reseed_interval=interval)
+    got = b""
+    while 8 * len(got) < 3 * interval:
+        got += gen.next_bytes(next(sizes))
+    ref = 0
+    for k in range(-(-8 * len(got) // interval)):
+        ent = derive_reseed_entropy(ent_zero, k) if k else ent_zero
+        bank = initialize(hide(ent))
+        ref |= int_emit(IntBank(bank.regs, bank.mask), interval) << (k * interval)
+    nbits = 8 * len(got)
+    assert got == (ref & ((1 << nbits) - 1)).to_bytes(len(got), "little")
 
 
 def test_generation_counter(ent_zero):
