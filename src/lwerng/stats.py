@@ -15,7 +15,8 @@ the last word, and takes from the popcounts:
 * ``ones``, the number of set bits;
 * the ones in each 128-bit block (two words);
 * ``T``, the number of unequal adjacent pairs (j, j+1) with j + 1 < nbits:
-  the popcount of ``w ^ ((w >> 1) | (next_word << 63))``;
+  the popcount of ``w ^ (w >> 1) ^ (next_word << 63)``, built in place in
+  one shifted copy of the words;
 * the first and the last bit.
 
 Runs counts ``v = T + 1`` runs.  The serial test's cyclic pair counts
@@ -24,6 +25,16 @@ follow in closed form: round the cycle, 01 and 10 pairs alternate, so with
 ``c11 = ones - c`` and ``c00 = n - ones - c``.  Every count is an exact
 integer, so each statistic equals the per-bit computation's to the last
 bit (``tests/oracles.py::ref_battery`` is that computation).
+
+The byte chi-square counts the 2^16 byte pairs of a little-endian 16-bit
+view, with ``np.add.at``, which casts the indices in small buffers where
+``np.bincount`` would copy them all to intp.  Byte value v occurs as
+the low byte of pairs[:, v] and the high byte of pairs[v, :], so the 256
+counts are the column sums plus the row sums; an odd trailing byte adds one.
+The serial correlation builds each 64-bit word's float64 as
+``hi * 2**32 + lo`` from its two 32-bit halves.  ``hi * 2**32`` is exact,
+so the one add is correctly rounded and equals the uint64 -> float64 cast,
+ties to even included.
 
 The raw dump is a headerless byte file of the generator output, bit-exact
 under the LSB-first packing, suitable for `dieharder -g 201 -f <file>`.
@@ -42,6 +53,7 @@ WEAK_P = 0.005
 
 MIN_BATTERY_BITS = 1_000_000
 BLOCK_BITS = 128  # block frequency block: two 64-bit words
+_DUMP_CHUNK_BYTES = 1 << 20  # one generator read per chunk of a raw dump
 
 
 @dataclass
@@ -108,15 +120,17 @@ def _bit_counts(data: bytes, nbits: int) -> _BitCounts:
     words[-1] &= np.uint64(((1 << 64) - 1) >> (-nbits % 64))  # clear bits past nbits
     pop = np.bitwise_count(words)
     nblocks = nbits // BLOCK_BITS
-    block_ones = pop[: 2 * nblocks].reshape(nblocks, 2).sum(axis=1, dtype=np.int64)
-    carry = np.zeros_like(words)
-    carry[:-1] = words[1:] << 63
-    diff = words ^ ((words >> 1) | carry)
+    block_ones = np.add(pop[0 : 2 * nblocks : 2], pop[1 : 2 * nblocks : 2],
+                        dtype=np.int64)
+    first = int(words[0]) & 1
     last = int(words[-1] >> ((nbits - 1) % 64)) & 1
+    diff = words >> 1
+    diff ^= words
+    words <<= 63  # each word's bit 0, moved to bit 63 for the word before it
+    diff[:-1] ^= words[1:]
     # diff's bit nbits-1 compares the last bit with the cleared bit past it
     transitions = int(np.bitwise_count(diff).sum()) - last
-    return _BitCounts(nbits, int(pop.sum()), block_ones, transitions,
-                      int(words[0]) & 1, last)
+    return _BitCounts(nbits, int(pop.sum()), block_ones, transitions, first, last)
 
 
 def _monobit(c):
@@ -157,7 +171,13 @@ def _serial_2bit(c):
 
 def _byte_chi_square(data, nbits):
     nbytes = nbits // 8
-    counts = np.bincount(np.frombuffer(data[:nbytes], dtype=np.uint8), minlength=256)
+    raw = np.frombuffer(data, dtype=np.uint8, count=nbytes)
+    # byte pairs (lo, hi) of the "<u2" view: pairs[hi, lo]
+    pairs = np.zeros((256, 256), dtype=np.int64)
+    np.add.at(pairs.reshape(-1), raw[: nbytes & ~1].view("<u2"), 1)
+    counts = pairs.sum(axis=0) + pairs.sum(axis=1)
+    if nbytes % 2:
+        counts[raw[-1]] += 1
     expected = nbytes / 256.0
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     return chi2, float(gammaincc(255 / 2.0, chi2 / 2.0))
@@ -165,12 +185,15 @@ def _byte_chi_square(data, nbits):
 
 def _serial_corr_64(data, nbits):
     """Lag-1 serial correlation of consecutive 64-bit words (normal approx)."""
-    nwords = nbits // 64
-    w = np.frombuffer(data[: nwords * 8], dtype="<u8").astype(np.float64)
+    half = np.frombuffer(data, dtype="<u4", count=2 * (nbits // 64))
+    # hi * 2^32 is exact, so the one add rounds like the uint64 -> float64 cast
+    w = half[1::2].astype(np.float64)
+    w *= 2.0**32
+    w += half[0::2]
     n = w.size
-    mean = w.mean()
-    num = float(((w[:-1] - mean) * (w[1:] - mean)).sum())
-    den = float(((w - mean) ** 2).sum())
+    w -= w.mean()
+    num = float((w[:-1] * w[1:]).sum())
+    den = float((w * w).sum())
     r = num / den if den else 0.0
     mu = -1.0 / (n - 1)
     sigma = math.sqrt(n * (n - 3.0) / ((n + 1.0) * (n - 1.0) ** 2))
@@ -187,10 +210,10 @@ def dump_raw(source, nbytes: int, sink) -> None:
             _dump_to(source, nbytes, fh)
 
 
-def _dump_to(source, nbytes, fh, chunk=1 << 20):
+def _dump_to(source, nbytes, fh):
     left = nbytes
     while left > 0:
-        take = min(chunk, left)
+        take = min(_DUMP_CHUNK_BYTES, left)
         fh.write(_take_bytes(source, take))
         left -= take
 
@@ -201,7 +224,7 @@ def scatter_indexes(source, count: int) -> np.ndarray:
         raise ValueError("count must be >= 1")
     data = _take_bytes(source, (3 * count + 7) // 8)
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    bits = bits[: 3 * count].reshape(count, 3).astype(np.uint8)
+    bits = bits[: 3 * count].reshape(count, 3)
     return bits[:, 0] | (bits[:, 1] << 1) | (bits[:, 2] << 2)
 
 

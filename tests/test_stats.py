@@ -77,11 +77,25 @@ BATTERY_NBITS = [N_BITS + k for k in (0, 1, 7, 63, 64, 65, 127, 129)] + [
     4_194_241, 4_194_303, 1 << 22]
 
 
+def words_from_2_63(nwords):
+    """Words in [2^63, 2^64), every other one a float64 rounding tie."""
+    # float64 keeps the top 53 bits of such a word, so its low 11 bits round;
+    # 0x400 there is a tie, broken to even on bit 11
+    words = np.random.default_rng(2063).integers(
+        1 << 63, 1 << 64, size=nwords, dtype=np.uint64)
+    words[::2] = (words[::2] & ~np.uint64(0x7FF)) | np.uint64(0x400)
+    words[:4] = [1 << 63, (1 << 63) | 0x400, (1 << 63) | 0xC00, (1 << 64) - 1]
+    ties = words[(words & np.uint64(0x7FF)) == 0x400]
+    assert set((ties >> np.uint64(11)) & np.uint64(1)) == {0, 1}
+    return words.astype("<u8").tobytes()
+
+
 @pytest.fixture(scope="module")
 def battery_buffers():
     nbytes = (1 << 19) + 16
     gen = Generator(EntropyInput(bytes(range(32)))).next_bytes(nbytes)
-    return {"generator": gen, "shake": shake_stream(nbytes, tag=b"exact")}
+    return {"generator": gen, "shake": shake_stream(nbytes, tag=b"exact"),
+            "words_from_2_63": words_from_2_63(nbytes // 8)}
 
 
 def assert_battery_exact(data, nbits):
