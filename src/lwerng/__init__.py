@@ -18,8 +18,6 @@ from .lwe_hiding import (
     HiddenSeed,
     distinguishing_experiment,
     hide,
-    oracle_hiding,
-    oracle_plain,
 )
 from .params import Params, default_params, validate
 from .qkd import QkdSession, run_session
@@ -59,8 +57,6 @@ __all__ = [
     "expand_matrix",
     "hide",
     "initialize",
-    "oracle_hiding",
-    "oracle_plain",
     "run_battery",
     "run_session",
     "sample_error",

@@ -2,9 +2,12 @@
 
 Exit codes: 0 success, 1 usage error (bad flags, bad seed material),
 2 runtime error, or a `stats` battery test below the fail threshold.
-All commands are deterministic under an explicit
---seed-hex; without one, 32 bytes come from the seed file named by
-$LWERNG_SEED_FILE or, failing that, from the operating system.
+All commands are deterministic under explicit seeds.  The generator
+commands take --seed-hex; without one, 32 bytes come from --seed-file,
+else from the seed file named by $LWERNG_SEED_FILE, else from the
+operating system.  `qkd-demo` ignores $LWERNG_SEED_FILE: each party
+without its --<party>-seed-hex draws a seed from the operating system,
+because Alice's and Bob's seeds must differ.
 """
 
 import argparse

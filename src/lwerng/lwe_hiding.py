@@ -1,6 +1,6 @@
-"""Seed concealment: b = A*s + e + r*floor(q/2) over R_q^m, plus the oracle
-pair behind the concealment hardness claim and an empirical distinguishing
-experiment with a falsifiable positive control.
+"""Seed concealment: b = A*s + e + r*floor(q/2) over R_q^m, and an empirical
+distinguishing experiment between concealed and uniform samples, with the
+uniform-against-uniform run as its null.
 
 One ring serves all of it: `polyring`'s transforms run on a single ring
 element for `hide` and on whole chunks of trials for the experiment, and
@@ -11,13 +11,12 @@ A, s, e and r and returns only b; anyone holding the entropy input can
 redraw them with the public samplers, since `hide` is defined by them.
 """
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import polyring
-from .errors import DimensionMismatch, InsufficientTrials
+from .errors import InsufficientTrials
 from .params import Params, default_params
 from .sampling import (
     EntropyInput,
@@ -30,7 +29,8 @@ from .sampling import (
 
 @dataclass
 class HiddenSeed:
-    """The concealed seed b (m ring elements) and the parameter set used."""
+    """The concealed seed b (m ring elements, each a list of ints) and the
+    parameter set used."""
 
     b: list
     params: Params
@@ -47,42 +47,19 @@ def hide(ent: EntropyInput, p: Params = None) -> HiddenSeed:
     s = sample_secret(ent, p)
     e = sample_error(ent, p, nonce=0)
     r = seed_payload(ent, p)
-    # Python ints: initialize shifts coefficients far past 64 bits
+    # lists of ints, as HiddenSeed documents: callers compare b with ==
     b = _combine(polyring.mat_vec_mul(mat, s, p), e, r, p).tolist()
     return HiddenSeed(b=b, params=p)
 
 
 def _combine(prod, e, r, p: Params) -> np.ndarray:
-    """prod + e + r*floor(q/2) mod q, for arrays of any matching shape."""
-    if np.shape(e) != prod.shape or np.shape(r) != prod.shape:
-        raise DimensionMismatch("error/payload shape differs from the product")
-    return (prod + np.asarray(e) + np.asarray(r) * (p.q // 2)) % p.q
-
-
-def oracle_hiding(mat, s, rng: random.Random, p: Params = None):
-    """One concealed sample (A, s, b) with fresh error and fresh uniform payload.
-
-    Error and payload come from the package samplers, keyed by 32 fresh
-    bytes of `rng`.
-    """
-    p = p or default_params()
-    ent = EntropyInput(rng.randbytes(32))
-    e = sample_error(ent, p)
-    b = _combine(polyring.mat_vec_mul(mat, s, p), e, seed_payload(ent, p), p)
-    return mat, s, b.tolist()
-
-
-def oracle_plain(mat, s, rng: random.Random, p: Params = None):
-    """One plain sample (A, s, b = A*s + e) with fresh error."""
-    p = p or default_params()
-    e = sample_error(EntropyInput(rng.randbytes(32)), p)
-    prod = polyring.mat_vec_mul(mat, s, p)
-    return mat, s, _combine(prod, e, np.zeros_like(prod), p).tolist()
+    """prod + e + r*floor(q/2) mod q, elementwise over arrays of one shape."""
+    return (prod + e + r * (p.q // 2)) % p.q
 
 
 # --- distinguishing experiment -------------------------------------------
 
-MODES = ("hiding_vs_uniform", "uniform_vs_uniform", "positive_control")
+MODES = ("hiding_vs_uniform", "uniform_vs_uniform")
 
 MIN_TRIALS = 1000
 # trials per batch of the experiment: bounds its (trials, m*degree) arrays and
@@ -132,9 +109,6 @@ def distinguishing_experiment(
         hiding_vs_uniform: concealed samples (fresh uniform A, fresh secret,
             fresh error and payload per trial) against uniform Z_q^m samples.
         uniform_vs_uniform: null control, both arms uniform.
-        positive_control: the oracle pair on deliberately degenerate inputs
-            (zero matrix, zero secret, error forced to zero, payload all
-            ones); the high-bit distinguisher must separate these.
 
     Each distinguisher maps one sample (m*degree coefficients) to {0, 1};
     the advantage is |hit_rate_a - hit_rate_b| with a binomial sigma.
@@ -145,10 +119,7 @@ def distinguishing_experiment(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
 
-    if mode == "positive_control":
-        hits_a, hits_b = _positive_control_hits(trials, p)
-    else:
-        hits_a, hits_b = _battery_hits(trials, p, mode, seed)
+    hits_a, hits_b = _battery_hits(trials, p, mode, seed)
 
     results = []
     for name in _DISTINGUISHER_NAMES:
@@ -244,22 +215,3 @@ def _binomial(rng, shape, eta: int) -> np.ndarray:
     """Sums of eta fair bits, one per entry of `shape`."""
     return rng.integers(0, 2, size=shape + (eta,), dtype=np.int64).sum(axis=-1)
 
-
-def _positive_control_hits(trials, p: Params):
-    """Hits of the oracle pair on degenerate inputs: A = 0, s = 0, e = 0, r = 1.
-
-    Every trial is the same pair of samples, so one evaluation scaled by
-    `trials` gives the counts.
-    """
-    zero_mat = np.zeros((p.m, p.n, p.degree), dtype=np.int64)
-    zero_s = np.zeros((p.n, p.degree), dtype=np.int64)
-    prod = polyring.mat_vec_mul(zero_mat, zero_s, p)
-    zero_e = np.zeros_like(prod)
-    sample_a = _combine(prod, zero_e, np.ones_like(prod), p)  # hiding oracle
-    sample_b = _combine(prod, zero_e, zero_e, p)  # plain oracle
-    hits_a = _distinguisher_hits(sample_a.reshape(1, -1), p.q)
-    hits_b = _distinguisher_hits(sample_b.reshape(1, -1), p.q)
-    return (
-        {name: c * trials for name, c in hits_a.items()},
-        {name: c * trials for name, c in hits_b.items()},
-    )

@@ -22,7 +22,7 @@ class Params:
     Attributes:
         q: coefficient modulus; must satisfy q odd, q = 1 (mod 2*degree)
             and q < 2^26.
-        n: secret vector dimension.
+        n: secret vector dimension (at most 2^11).
         m: sample vector dimension.
         degree: polynomial degree (power of two, at most 2^10).
         eta: bound of the secret/error coefficients (support {-eta..eta});
@@ -54,11 +54,6 @@ class Params:
         return self.degree * self.word_bits - self.state_bits
 
     @cached_property
-    def k(self) -> int:
-        """Integer k with q = k * degree + 1."""
-        return (self.q - 1) // self.degree
-
-    @cached_property
     def psi(self) -> int:
         """Smallest primitive 2*degree-th root of unity mod q.
 
@@ -87,13 +82,15 @@ def validate(p: Params) -> None:
 
     q < 2^26 and degree <= 2^10 keep the ring exact and each dense transform
     matrix at 8 MiB at most: its float64 sums over 13-bit limbs stay below
-    2^49 (see polyring.ntt).
+    2^49 (see polyring.ntt).  n <= 2^11 keeps a mat_vec_mul row sum of n
+    products below 2^11 * (q - 1)^2 < 2^63, so it needs one reduction.
 
     Raises:
         InvalidModulus: q fails oddness, q = 1 (mod 2*degree), the bound
             q < 2^26, or no 2*degree-th root exists; or degree is not a
             power of two in [2, 2^10].
-        InconsistentLayout: n, m or eta is not positive, or 2*eta >= q.
+        InconsistentLayout: n, m or eta is not positive, n > 2^11, or
+            2*eta >= q.
     """
     if p.q < 2 or p.q % 2 == 0:
         raise InvalidModulus(f"q={p.q} must be an odd integer >= 3")
@@ -105,7 +102,7 @@ def validate(p: Params) -> None:
         raise InvalidModulus(f"q={p.q} is not 1 mod {2 * p.degree}")
     if p.q >= 1 << 26:
         # products of reduced coefficients stay below 2^52, which leaves int64
-        # headroom for the ring's lazy reduction (see polyring)
+        # headroom for the row sums of mat_vec_mul (see polyring)
         raise InvalidModulus(f"q={p.q} is not below 2^26")
     # existence of the root (guaranteed for prime q, not for composite)
     psi = p.psi
@@ -113,5 +110,7 @@ def validate(p: Params) -> None:
         raise InvalidModulus(f"derived root {psi} is not a primitive 2*degree-th root")
     if p.n < 1 or p.m < 1 or p.eta < 1:
         raise InconsistentLayout("n, m and eta must be positive")
+    if p.n > 1 << 11:
+        raise InconsistentLayout(f"n={p.n} is above 2^11")
     if 2 * p.eta >= p.q:
         raise InconsistentLayout(f"2*eta={2 * p.eta} is not below q={p.q}")

@@ -10,8 +10,8 @@ arithmetic is exact: every `Params` is validated when built, which keeps q
 below 2^26 and degree at most 2^10.  The transforms' float64 products work
 on 13-bit limbs, so their sums stay below 2^49 (see `ntt`), and one
 product per transform serves both limbs of every row; in int64 a
-product of two reduced coefficients is below 2^52, and the lazily reduced
-row sums of `mat_vec_mul` stay below 2^63.
+product of two reduced coefficients is below 2^52, and since `validate`
+bounds n by 2^11, the unreduced row sums of `mat_vec_mul` stay below 2^63.
 
 Serialization is normative and bit-exact: word i of the output is
 coefficient i, packed as a 32-bit little-endian word, so bit 32*i+j of the
@@ -88,33 +88,25 @@ def inv_ntt(a, p: Params) -> np.ndarray:
     return _transform(a, _matrices(p.q, p.degree, p.psi)[1], p.q)
 
 
-# A product of two reduced coefficients is below 2^52, so an int64
-# accumulator holds 2^11 of them before it has to be reduced.
-_LAZY_TERMS = 1 << 11
-
-
 def mat_vec_mul(mat, vec, p: Params) -> np.ndarray:
     """Matrix-vector product over R_q: entry i is sum_j mat[i][j] * vec[j].
 
     One transform per input polynomial and one inverse per output row.  The
     transform-domain products of a row are summed unreduced, with one
-    reduction per row (and per _LAZY_TERMS products in very wide rows).
+    reduction per row: a row of n <= 2^11 products stays below 2^63.
     Returns an (m, degree) array.
     """
     if any(len(row) != len(vec) for row in mat):
         raise DimensionMismatch(
             f"matrix rows of width {[len(r) for r in mat]} vs vector of {len(vec)}"
         )
-    q = p.q
     vec_hat = [ntt(s, p) for s in vec]
     out = np.zeros((len(mat), p.degree), dtype=np.int64)
     for i, row in enumerate(mat):
         acc = np.zeros(p.degree, dtype=np.int64)
-        for j, (a, s_hat) in enumerate(zip(row, vec_hat), 1):
+        for a, s_hat in zip(row, vec_hat):
             acc += ntt(a, p) * s_hat
-            if j % _LAZY_TERMS == 0:
-                acc %= q
-        out[i] = inv_ntt(acc % q, p)
+        out[i] = inv_ntt(acc % p.q, p)
     return out
 
 

@@ -41,6 +41,7 @@ under the LSB-first packing, suitable for `dieharder -g 201 -f <file>`.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,21 +202,24 @@ def _serial_corr_64(data, nbits):
     return r, math.erfc(z / math.sqrt(2))
 
 
+@contextmanager
+def _opened(sink, mode: str):
+    """`sink` itself if it is a file object, else the path opened in `mode`."""
+    if hasattr(sink, "write"):
+        yield sink
+    else:
+        with open(sink, mode) as fh:
+            yield fh
+
+
 def dump_raw(source, nbytes: int, sink) -> None:
     """Write exactly nbytes of raw stream output to a path or file object."""
-    if hasattr(sink, "write"):
-        _dump_to(source, nbytes, sink)
-    else:
-        with open(sink, "wb") as fh:
-            _dump_to(source, nbytes, fh)
-
-
-def _dump_to(source, nbytes, fh):
-    left = nbytes
-    while left > 0:
-        take = min(_DUMP_CHUNK_BYTES, left)
-        fh.write(_take_bytes(source, take))
-        left -= take
+    with _opened(sink, "wb") as fh:
+        left = nbytes
+        while left > 0:
+            take = min(_DUMP_CHUNK_BYTES, left)
+            fh.write(_take_bytes(source, take))
+            left -= take
 
 
 def scatter_indexes(source, count: int) -> np.ndarray:
@@ -230,14 +234,7 @@ def scatter_indexes(source, count: int) -> np.ndarray:
 
 def write_scatter_csv(indexes, sink) -> None:
     """`position,index` rows for external plotting."""
-    if hasattr(sink, "write"):
-        _scatter_to(indexes, sink)
-    else:
-        with open(sink, "w") as fh:
-            _scatter_to(indexes, fh)
-
-
-def _scatter_to(indexes, fh):
-    fh.write("position,index\n")
-    for pos, ix in enumerate(indexes):
-        fh.write(f"{pos},{ix}\n")
+    with _opened(sink, "w") as fh:
+        fh.write("position,index\n")
+        for pos, ix in enumerate(indexes):
+            fh.write(f"{pos},{ix}\n")

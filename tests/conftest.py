@@ -1,10 +1,12 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from lwerng.lwe_hiding import _distinguisher_hits
 from lwerng.params import Params, default_params
 from lwerng.sampling import EntropyInput
 
@@ -38,3 +40,13 @@ def ent_one():
 
 def fixed_ent(tag: int) -> EntropyInput:
     return EntropyInput(tag.to_bytes(4, "big") + bytes(28))
+
+
+def degenerate_pair_advantages(p) -> dict:
+    """Each distinguisher's advantage on the degenerate pair A = s = e = 0:
+    the concealed sample (payload r = 1) is every coefficient q//2, the plain
+    sample every coefficient 0.  The pair is one trial per arm."""
+    width = p.m * p.degree
+    hits_a = _distinguisher_hits(np.full((1, width), p.q // 2, dtype=np.int64), p.q)
+    hits_b = _distinguisher_hits(np.zeros((1, width), dtype=np.int64), p.q)
+    return {name: abs(hits_a[name] - hits_b[name]) for name in hits_a}

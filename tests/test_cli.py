@@ -167,6 +167,14 @@ def test_distinguish_command(capsys):
     assert "coef_chi2" in out and "advantage=" in out
 
 
+def test_distinguish_rejects_positive_control_mode(capsys):
+    code, out, err = run(["distinguish", "--trials", "1000",
+                          "--mode", "positive_control"], capsys)
+    assert code == 1
+    assert "invalid choice" in err
+    assert out == ""
+
+
 def test_qkd_demo(capsys):
     code, out, _ = run(["qkd-demo", "--photons", "20000",
                         "--alice-seed-hex", SEED, "--bob-seed-hex", SEED2], capsys)

@@ -1,27 +1,14 @@
-import random
-
 import numpy as np
 import pytest
 
 from lwerng import polyring as pr
-from lwerng.errors import DimensionMismatch, InsufficientTrials
+from lwerng.errors import InsufficientTrials
 from lwerng.params import Params
-from lwerng.lwe_hiding import (
-    _combine,
-    _hiding_batch,
-    distinguishing_experiment,
-    hide,
-    oracle_hiding,
-    oracle_plain,
-)
-from lwerng.sampling import EntropyInput, expand_matrix, sample_secret, seed_payload
+from lwerng.lwe_hiding import MODES, _hiding_batch, distinguishing_experiment, hide
+from lwerng.sampling import sample_secret
 
-from conftest import fixed_ent
-from oracles import conv_negacyclic, hide_oracle, hide_transcript, loop_mat_vec
-
-
-def centered(c, q):
-    return c if c <= q // 2 else c - q
+from conftest import degenerate_pair_advantages, fixed_ent
+from oracles import conv_negacyclic, hide_oracle, hide_transcript
 
 
 def test_hide_deterministic_1000_calls(ent_zero, params):
@@ -60,74 +47,6 @@ def test_transcript_replay_exact(params):
                 - np.array(r[i], dtype=np.int64) * half
             ) % params.q
             assert not residue.any()
-
-
-def test_oracle_hiding_fresh_randomness(toy_params):
-    rng = random.Random(5)
-    mat = expand_matrix(fixed_ent(0), toy_params)
-    s = sample_secret(fixed_ent(0), toy_params)
-    outputs = {tuple(tuple(poly) for poly in oracle_hiding(mat, s, rng, toy_params)[2])
-               for _ in range(100)}
-    assert len(outputs) > 90
-
-
-def test_oracle_plain_fresh_randomness(toy_params):
-    rng = random.Random(6)
-    mat = expand_matrix(fixed_ent(1), toy_params)
-    s = sample_secret(fixed_ent(1), toy_params)
-    outputs = {tuple(tuple(poly) for poly in oracle_plain(mat, s, rng, toy_params)[2])
-               for _ in range(100)}
-    assert len(outputs) > 90
-
-
-def test_oracle_outputs_in_ring(toy_params):
-    rng = random.Random(7)
-    mat = expand_matrix(fixed_ent(2), toy_params)
-    s = sample_secret(fixed_ent(2), toy_params)
-    _, _, b = oracle_hiding(mat, s, rng, toy_params)
-    for poly in b:
-        assert all(0 <= c < toy_params.q for c in poly)
-
-
-def test_oracle_hiding_residual_structure(toy_params):
-    # b - A*s - r*floor(q/2) leaves only the narrow error
-    q = toy_params.q
-    rng = random.Random(8)
-    mat = expand_matrix(fixed_ent(3), toy_params)
-    s = sample_secret(fixed_ent(3), toy_params)
-    prod = loop_mat_vec(mat, s, q)
-    twin = random.Random(8)  # replays the oracle's entropy draws
-    for _ in range(20):
-        payload = seed_payload(EntropyInput(twin.randbytes(32)), toy_params)
-        _, _, b = oracle_hiding(mat, s, rng, toy_params)
-        for b_i, p_i, r_i in zip(b, prod, payload):
-            for c, pc, rc in zip(b_i, p_i, r_i):
-                residual = centered((c - pc - rc * (q // 2)) % q, q)
-                assert residual in (-1, 0, 1)
-
-
-def test_oracle_plain_residual_structure(toy_params):
-    q = toy_params.q
-    rng = random.Random(9)
-    mat = expand_matrix(fixed_ent(4), toy_params)
-    s = sample_secret(fixed_ent(4), toy_params)
-    prod = loop_mat_vec(mat, s, q)
-    for _ in range(20):
-        _, _, b = oracle_plain(mat, s, rng, toy_params)
-        for b_i, p_i in zip(b, prod):
-            for c, pc in zip(b_i, p_i):
-                assert centered((c - pc) % q, q) in (-1, 0, 1)
-
-
-def test_combine_dimension_mismatch(toy_params):
-    mat = expand_matrix(fixed_ent(6), toy_params)
-    s = sample_secret(fixed_ent(6), toy_params)
-    prod = pr.mat_vec_mul(mat, s, toy_params)
-    short = [[0] * toy_params.degree]
-    with pytest.raises(DimensionMismatch):
-        _combine(prod, short, np.zeros_like(prod), toy_params)
-    with pytest.raises(DimensionMismatch):
-        _combine(prod, np.zeros_like(prod), short, toy_params)
 
 
 def replay_hiding_batch(seed, t, p, draw_error):
@@ -213,9 +132,14 @@ def test_experiment_hiding_null_smoke(params):
 
 
 def test_experiment_positive_control(params):
-    report = distinguishing_experiment(1000, params, mode="positive_control", seed=3)
-    by_name = {r.name: r for r in report.results}
-    assert by_name["high_bit_weight"].advantage > 0.9
+    # the high-bit distinguisher has power: it separates the degenerate pair
+    assert degenerate_pair_advantages(params)["high_bit_weight"] > 0.9
+
+
+def test_modes_are_the_claim_and_its_null():
+    assert MODES == ("hiding_vs_uniform", "uniform_vs_uniform")
+    with pytest.raises(ValueError):
+        distinguishing_experiment(1000, mode="positive_control")
 
 
 def test_report_serialization(params):

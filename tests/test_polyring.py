@@ -230,10 +230,10 @@ def test_mat_vec_exact_at_largest_modulus():
     assert pr.mat_vec_mul(mat, s, p).tolist() == loop_mat_vec(mat, s, p.q)
 
 
-def test_mat_vec_wide_row_reduces_in_chunks():
-    # 2049 transform-domain products near (q - 1)^2 sum past 2^63 unless the
-    # row is reduced part way
-    p = Params(q=67104769, n=2049, m=1, degree=2)
+def test_mat_vec_widest_row_sums_exactly():
+    # at the largest n validate allows, 2^11 transform-domain products near
+    # (q - 1)^2 sum to just below 2^63 with one reduction per row
+    p = Params(q=67104769, n=1 << 11, m=1, degree=2)
     rng = random.Random(25)
     mat = [[near_max_hat(rng, p) for _ in range(p.n)]]
     s = [near_max_hat(rng, p) for _ in range(p.n)]

@@ -176,6 +176,9 @@ def test_scatter_csv(tmp_path):
     path = tmp_path / "scatter.csv"
     write_scatter_csv(np.array([3, 0, 7], dtype=np.uint8), str(path))
     assert path.read_text() == "position,index\n0,3\n1,0\n2,7\n"
+    sink = io.StringIO()
+    write_scatter_csv(np.array([3, 0, 7], dtype=np.uint8), sink)
+    assert sink.getvalue() == path.read_text()
 
 
 def test_scatter_rejects_zero_count(ent_zero):
