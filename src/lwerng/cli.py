@@ -1,13 +1,18 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error (bad flags, bad seed material),
-2 runtime error, or a `stats` battery test below the fail threshold.
-All commands are deterministic under explicit seeds.  The generator
-commands take --seed-hex; without one, 32 bytes come from --seed-file,
-else from the seed file named by $LWERNG_SEED_FILE, else from the
-operating system.  `qkd-demo` ignores $LWERNG_SEED_FILE: each party
-without its --<party>-seed-hex draws a seed from the operating system,
-because Alice's and Bob's seeds must differ.
+Every command is one row of `_COMMANDS`: its name, help text, handler,
+whether it is seeded, and its own flags.  A seeded command also takes
+--seed-hex, --seed-file and --reseed-interval, and its handler gets the
+resolved seed as `args.entropy`: --seed-hex, else 32 bytes from
+--seed-file, else from the seed file named by $LWERNG_SEED_FILE, else from
+the operating system.  `qkd-demo` is not seeded and ignores
+$LWERNG_SEED_FILE: each party without its --<party>-seed-hex draws a seed
+from the operating system, because Alice's and Bob's seeds must differ.
+
+Exit codes: 0 success, 1 usage error (bad flags, bad seed material; bad
+seed hex on any flag is one), 2 runtime error, or a `stats` battery test
+below the fail threshold.  All commands are deterministic under explicit
+seeds.
 """
 
 import argparse
@@ -20,7 +25,6 @@ import time
 
 from .errors import LwerngError
 from .lwe_hiding import MIN_TRIALS, MODES, distinguishing_experiment
-from .params import default_params
 from .qkd import run_session
 from .sampling import SEED_BYTES, EntropyInput
 from .stats import (
@@ -41,16 +45,21 @@ class UsageError(Exception):
     pass
 
 
-def _resolve_entropy(seed_hex, seed_file) -> EntropyInput:
-    if seed_hex is not None:
-        try:
-            raw = bytes.fromhex(seed_hex)
-        except ValueError as exc:
-            raise UsageError(f"--seed-hex is not valid hex: {exc}") from exc
-        if len(raw) != SEED_BYTES:
-            raise UsageError(f"--seed-hex must decode to exactly {SEED_BYTES} bytes")
-        return EntropyInput(raw)
-    seed_file = seed_file or os.environ.get("LWERNG_SEED_FILE")
+def _seed_hex(text: str) -> EntropyInput:
+    """argparse type: seed hex, so bad hex or a wrong length is a usage error."""
+    try:
+        return EntropyInput.from_hex(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _entropy(args) -> EntropyInput:
+    """The seed of a seeded command, in the order the module docstring gives."""
+    if args.seed_hex is not None:
+        return args.seed_hex
+    # read here, not through a --seed-file type: argparse would pass the
+    # environment default through it even when --seed-hex is given
+    seed_file = args.seed_file or os.environ.get("LWERNG_SEED_FILE")
     if seed_file:
         try:
             with open(seed_file, "rb") as fh:
@@ -79,98 +88,8 @@ _COUNT = _at_least(0)
 _POSITIVE = _at_least(1)
 
 
-def _add_seed_args(sp):
-    sp.add_argument("--seed-hex", help=f"{2 * SEED_BYTES} hex chars of seed material")
-    sp.add_argument("--seed-file", help="file holding 32 seed bytes "
-                                        "(default: $LWERNG_SEED_FILE)")
-
-
-def _add_reseed_arg(sp):
-    sp.add_argument("--reseed-interval", type=_COUNT, default=DEFAULT_RESEED_INTERVAL,
-                    help="bits between automatic reseeds, 0 disables")
-
-
-def _build_parser():
-    ap = argparse.ArgumentParser(prog="lwerng")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("generate", help="write raw generator bytes")
-    g.set_defaults(func=_cmd_generate)
-    _add_seed_args(g)
-    g.add_argument("--bytes", type=_COUNT, default=32, dest="nbytes")
-    g.add_argument("--out", help="output file (default stdout)")
-    g.add_argument("--force", action="store_true",
-                   help="allow raw bytes on a terminal stdout")
-    _add_reseed_arg(g)
-
-    s = sub.add_parser("stats", help="run the built-in randomness battery")
-    s.set_defaults(func=_cmd_stats)
-    _add_seed_args(s)
-    s.add_argument("--bits", type=_at_least(MIN_BATTERY_BITS), default=10_000_000)
-    s.add_argument("--json", action="store_true",
-                   help="print one JSON array of test reports")
-    _add_reseed_arg(s)
-
-    d = sub.add_parser("dieharder-dump", help="dump raw bytes for an external suite")
-    d.set_defaults(func=_cmd_dump)
-    _add_seed_args(d)
-    d.add_argument("--bytes", type=_COUNT, default=1_100_000_000, dest="nbytes")
-    d.add_argument("--out", required=True)
-    _add_reseed_arg(d)
-
-    sc = sub.add_parser("scatter", help="export 3-bit scatter indexes as CSV")
-    sc.set_defaults(func=_cmd_scatter)
-    _add_seed_args(sc)
-    sc.add_argument("--count", type=_POSITIVE, default=1_000_000)
-    sc.add_argument("--out", required=True)
-    _add_reseed_arg(sc)
-
-    di = sub.add_parser("distinguish", help="run the distinguishing experiment")
-    di.set_defaults(func=_cmd_distinguish)
-    di.add_argument("--trials", type=_at_least(MIN_TRIALS), default=100_000)
-    di.add_argument("--mode", choices=MODES, default="hiding_vs_uniform")
-    di.add_argument("--seed", type=int, default=0, help="experiment RNG seed")
-
-    qk = sub.add_parser("qkd-demo", help="run a BB84 session")
-    qk.set_defaults(func=_cmd_qkd)
-    qk.add_argument("--photons", type=_POSITIVE, default=1_000_000)
-    qk.add_argument("--adversary", choices=["none", "intercept"], default="none")
-    qk.add_argument("--alice-seed-hex")
-    qk.add_argument("--bob-seed-hex")
-    qk.add_argument("--eve-seed-hex")
-
-    be = sub.add_parser("bench", help="measure generation throughput")
-    be.set_defaults(func=_cmd_bench)
-    _add_seed_args(be)
-    be.add_argument("--bytes", type=_POSITIVE, default=100_000_000, dest="nbytes",
-                    help="bytes generated per run")
-    be.add_argument("--runs", type=_POSITIVE, default=5)
-    be.add_argument("--json", action="store_true",
-                    help="print one JSON object of the rates and settings")
-    _add_reseed_arg(be)
-    return ap
-
-
-def main(argv=None) -> int:
-    ap = _build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(ap.format_usage().strip(), file=sys.stderr)
-        return 1
-    except (LwerngError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
 def _cmd_generate(args) -> int:
-    ent = _resolve_entropy(args.seed_hex, args.seed_file)
-    gen = Generator(ent, reseed_interval=args.reseed_interval)
+    gen = Generator(args.entropy, reseed_interval=args.reseed_interval)
     if args.out:
         dump_raw(gen, args.nbytes, args.out)
         return 0
@@ -183,8 +102,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    ent = _resolve_entropy(args.seed_hex, args.seed_file)
-    reports = run_battery(Generator(ent, reseed_interval=args.reseed_interval), args.bits)
+    reports = run_battery(Generator(args.entropy, reseed_interval=args.reseed_interval),
+                          args.bits)
     if args.json:
         print(_reports_json(reports))
     else:
@@ -207,16 +126,15 @@ def _reports_json(reports) -> str:
 
 
 def _cmd_dump(args) -> int:
-    ent = _resolve_entropy(args.seed_hex, args.seed_file)
-    dump_raw(Generator(ent, reseed_interval=args.reseed_interval), args.nbytes, args.out)
+    dump_raw(Generator(args.entropy, reseed_interval=args.reseed_interval),
+             args.nbytes, args.out)
     print(f"wrote {args.nbytes} bytes to {args.out}", file=sys.stderr)
     print(f"external suite: dieharder -a -g 201 -f {args.out}", file=sys.stderr)
     return 0
 
 
 def _cmd_scatter(args) -> int:
-    ent = _resolve_entropy(args.seed_hex, args.seed_file)
-    indexes = scatter_indexes(Generator(ent, reseed_interval=args.reseed_interval),
+    indexes = scatter_indexes(Generator(args.entropy, reseed_interval=args.reseed_interval),
                               args.count)
     write_scatter_csv(indexes, args.out)
     print(f"wrote {args.count} indexes to {args.out}", file=sys.stderr)
@@ -230,13 +148,8 @@ def _cmd_distinguish(args) -> int:
 
 
 def _cmd_qkd(args) -> int:
-    def seed_of(hex_str):
-        if hex_str is None:
-            return EntropyInput(os.urandom(SEED_BYTES))
-        try:
-            return EntropyInput.from_hex(hex_str)
-        except ValueError as exc:
-            raise UsageError(f"bad seed hex: {exc}") from exc
+    def seed_of(ent):
+        return EntropyInput(os.urandom(SEED_BYTES)) if ent is None else ent
 
     adversary = "intercept_resend" if args.adversary == "intercept" else None
     session = run_session(
@@ -253,8 +166,7 @@ def _cmd_qkd(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    ent = _resolve_entropy(args.seed_hex, args.seed_file)
-    rates = bench_rates(ent, args.nbytes, args.runs, args.reseed_interval)
+    rates = bench_rates(args.entropy, args.nbytes, args.runs, args.reseed_interval)
     median = statistics.median(rates)
     if args.json:
         print(json.dumps({"rates_mbit_s": rates, "median_mbit_s": median,
@@ -283,6 +195,86 @@ def bench_rates(ent, nbytes, runs, reseed_interval=DEFAULT_RESEED_INTERVAL):
         dt = time.perf_counter() - t0
         rates.append(nbytes * 8 / dt / 1e6)
     return rates
+
+
+# (name, help, handler, seeded, own (flag, add_argument keywords) pairs); a
+# seeded command also gets the seed and reseed flags, and args.entropy
+_COMMANDS = (
+    ("generate", "write raw generator bytes", _cmd_generate, True, (
+        ("--bytes", dict(type=_COUNT, default=32, dest="nbytes")),
+        ("--out", dict(help="output file (default stdout)")),
+        ("--force", dict(action="store_true", help="allow raw bytes on a terminal stdout")),
+    )),
+    ("stats", "run the built-in randomness battery", _cmd_stats, True, (
+        ("--bits", dict(type=_at_least(MIN_BATTERY_BITS), default=10_000_000)),
+        ("--json", dict(action="store_true", help="print one JSON array of test reports")),
+    )),
+    ("dieharder-dump", "dump raw bytes for an external suite", _cmd_dump, True, (
+        ("--bytes", dict(type=_COUNT, default=1_100_000_000, dest="nbytes")),
+        ("--out", dict(required=True)),
+    )),
+    ("scatter", "export 3-bit scatter indexes as CSV", _cmd_scatter, True, (
+        ("--count", dict(type=_POSITIVE, default=1_000_000)),
+        ("--out", dict(required=True)),
+    )),
+    ("distinguish", "run the distinguishing experiment", _cmd_distinguish, False, (
+        ("--trials", dict(type=_at_least(MIN_TRIALS), default=100_000)),
+        ("--mode", dict(choices=MODES, default="hiding_vs_uniform")),
+        ("--seed", dict(type=_COUNT, default=0, help="experiment RNG seed")),
+    )),
+    ("qkd-demo", "run a BB84 session", _cmd_qkd, False, (
+        ("--photons", dict(type=_POSITIVE, default=1_000_000)),
+        ("--adversary", dict(choices=["none", "intercept"], default="none")),
+        ("--alice-seed-hex", dict(type=_seed_hex)),
+        ("--bob-seed-hex", dict(type=_seed_hex)),
+        ("--eve-seed-hex", dict(type=_seed_hex)),
+    )),
+    ("bench", "measure generation throughput", _cmd_bench, True, (
+        ("--bytes", dict(type=_POSITIVE, default=100_000_000, dest="nbytes",
+                         help="bytes generated per run")),
+        ("--runs", dict(type=_POSITIVE, default=5)),
+        ("--json", dict(action="store_true",
+                        help="print one JSON object of the rates and settings")),
+    )),
+)
+
+
+def _build_parser():
+    ap = argparse.ArgumentParser(prog="lwerng")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, help_text, handler, seeded, flags in _COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(func=handler, seeded=seeded)
+        for flag, kwargs in flags:
+            sp.add_argument(flag, **kwargs)
+        if seeded:
+            sp.add_argument("--seed-hex", type=_seed_hex,
+                            help=f"{2 * SEED_BYTES} hex chars of seed material")
+            sp.add_argument("--seed-file", help="file holding 32 seed bytes "
+                                                "(default: $LWERNG_SEED_FILE)")
+            sp.add_argument("--reseed-interval", type=_COUNT,
+                            default=DEFAULT_RESEED_INTERVAL,
+                            help="bits between automatic reseeds, 0 disables")
+    return ap
+
+
+def main(argv=None) -> int:
+    ap = _build_parser()
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        return 0 if exc.code in (0, None) else 1
+    try:
+        if args.seeded:
+            args.entropy = _entropy(args)
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        print(ap.format_usage().strip(), file=sys.stderr)
+        return 1
+    except (LwerngError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entrypoint():

@@ -93,12 +93,14 @@ def mat_vec_mul(mat, vec, p: Params) -> np.ndarray:
 
     One transform per input polynomial and one inverse per output row.  The
     transform-domain products of a row are summed unreduced, with one
-    reduction per row: a row of n <= 2^11 products stays below 2^63.
+    reduction per row: a row of n <= 2^11 products stays below 2^63, so the
+    vector and every row must be exactly n wide.
     Returns an (m, degree) array.
     """
-    if any(len(row) != len(vec) for row in mat):
+    if len(vec) != p.n or any(len(row) != p.n for row in mat):
         raise DimensionMismatch(
-            f"matrix rows of width {[len(r) for r in mat]} vs vector of {len(vec)}"
+            f"matrix rows of width {[len(r) for r in mat]} and vector of {len(vec)}, "
+            f"not n={p.n}"
         )
     vec_hat = [ntt(s, p) for s in vec]
     out = np.zeros((len(mat), p.degree), dtype=np.int64)

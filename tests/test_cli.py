@@ -84,6 +84,14 @@ def test_seed_file_missing_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_seed_hex_wins_over_stale_env_seed_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LWERNG_SEED_FILE", str(tmp_path / "nope"))
+    out_path = tmp_path / "out.bin"
+    assert main(["generate", "--seed-hex", SEED, "--bytes", "16",
+                 "--out", str(out_path)]) == 0
+    assert out_path.read_bytes() == Generator(EntropyInput(bytes(32))).next_bytes(16)
+
+
 def test_stats_command(capsys):
     code, out, _ = run(["stats", "--seed-hex", SEED, "--bits", "1000000"], capsys)
     assert code == 0
@@ -193,6 +201,20 @@ def test_qkd_demo_intercept(capsys):
     assert abs(qber - 0.25) < 0.01
 
 
+@pytest.mark.parametrize("bad", ["zz" * 32, "aabb"], ids=["not_hex", "short"])
+@pytest.mark.parametrize("party", ["alice", "bob", "eve"])
+def test_qkd_demo_bad_party_hex_exits_1(party, bad, capsys):
+    # Eve's seed is checked even without --adversary intercept
+    hexes = {"alice": SEED, "bob": SEED2, "eve": "22" * 32, party: bad}
+    argv = ["qkd-demo", "--photons", "1000"]
+    for name, value in hexes.items():
+        argv += [f"--{name}-seed-hex", value]
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert "usage" in err
+    assert out == ""
+
+
 def test_generate_tty_guard(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdout.isatty", lambda: True)
     assert main(["generate", "--seed-hex", SEED, "--bytes", "8"]) == 1
@@ -225,6 +247,8 @@ def test_dump_io_error_exits_2(capsys):
     ["stats", "--seed-hex", SEED, "--reseed-interval", "-1"],
     ["dieharder-dump", "--seed-hex", SEED, "--reseed-interval", "-1", "--out", "{out}"],
     ["scatter", "--seed-hex", SEED, "--reseed-interval", "-1", "--out", "{out}"],
+    ["distinguish", "--seed", "-1"],
+    ["bench", "--seed-hex", SEED, "--reseed-interval", "-1"],
 ])
 def test_bad_count_exits_1(argv, tmp_path, capsys):
     out = tmp_path / "out.bin"
