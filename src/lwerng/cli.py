@@ -143,7 +143,7 @@ def _cmd_scatter(args) -> int:
 
 def _cmd_distinguish(args) -> int:
     report = distinguishing_experiment(args.trials, mode=args.mode, seed=args.seed)
-    print(report.to_text())
+    print(report.to_json() if args.json else report.to_text())
     return 0
 
 
@@ -221,6 +221,8 @@ _COMMANDS = (
         ("--trials", dict(type=_at_least(MIN_TRIALS), default=100_000)),
         ("--mode", dict(choices=MODES, default="hiding_vs_uniform")),
         ("--seed", dict(type=_COUNT, default=0, help="experiment RNG seed")),
+        ("--json", dict(action="store_true",
+                        help="print one JSON object of the report and hit counts")),
     )),
     ("qkd-demo", "run a BB84 session", _cmd_qkd, False, (
         ("--photons", dict(type=_POSITIVE, default=1_000_000)),

@@ -11,7 +11,8 @@ A, s, e and r and returns only b; anyone holding the entropy input can
 redraw them with the public samplers, since `hide` is defined by them.
 """
 
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -74,6 +75,8 @@ _CHI2_15_MEDIAN = 14.3389
 @dataclass
 class DistinguisherResult:
     name: str
+    hits_a: int
+    hits_b: int
     hit_rate_a: float
     hit_rate_b: float
     advantage: float
@@ -84,7 +87,12 @@ class DistinguisherResult:
 class AdvantageReport:
     mode: str
     trials: int
+    seed: int
     results: list
+
+    def to_json(self) -> str:
+        """The whole report, hit counts included, as one strict JSON object."""
+        return json.dumps(asdict(self), allow_nan=False)
 
     def to_text(self) -> str:
         lines = [f"mode={self.mode} trials={self.trials}"]
@@ -126,8 +134,9 @@ def distinguishing_experiment(
         ra = hits_a[name] / trials
         rb = hits_b[name] / trials
         sigma = (ra * (1 - ra) / trials + rb * (1 - rb) / trials) ** 0.5
-        results.append(DistinguisherResult(name, ra, rb, abs(ra - rb), sigma))
-    return AdvantageReport(mode=mode, trials=trials, results=results)
+        results.append(DistinguisherResult(name, hits_a[name], hits_b[name], ra, rb,
+                                           abs(ra - rb), sigma))
+    return AdvantageReport(mode=mode, trials=trials, seed=seed, results=results)
 
 
 _DISTINGUISHER_NAMES = ("coef_chi2", "serial_corr", "high_bit_weight")
@@ -149,9 +158,9 @@ def _distinguisher_hits(samples: np.ndarray, q: int) -> dict:
     corr_num = (centered[:, :-1] * centered[:, 1:]).sum(axis=1)
     corr_hits = corr_num > 0
 
-    # Hamming weight of the per-coefficient high bit (1 iff q/4 < c < 3q/4)
-    high = (4 * samples > q) & (4 * samples < 3 * q)
-    hb_hits = high.mean(axis=1) > 0.5
+    # Hamming weight of the per-coefficient high bit, 1 iff q/4 < c < 3q/4:
+    # q is odd, so neither bound is an integer and that is bins 4 to 11
+    hb_hits = 2 * counts[:, 4:12].sum(axis=1) > width
 
     return {
         "coef_chi2": int(chi2_hits.sum()),
@@ -195,14 +204,17 @@ def _hiding_batch(rng, t: int, p: Params) -> np.ndarray:
     s_hat = polyring.ntt(s, p)
     b_hat = np.zeros((t, p.m, d), dtype=np.int64)
     # Entries are drawn one at a time, row by row; that order fixes the
-    # output for a seed.  One accumulator lives across the rows: variants
-    # that freed it per row, or held a whole row of entries, ran the
-    # `distinguish` benchmark workload up to 20% slower (glibc heap trimming).
+    # output for a seed.  A row's n products, each below q^2 < 2^52, are
+    # summed unreduced and reduced once, as in mat_vec_mul: validate's
+    # n <= 2^11 keeps the sum below 2^63.  One accumulator lives across the
+    # rows: variants that freed it per row, or held a whole row of entries,
+    # ran the `distinguish` benchmark workload up to 20% slower (glibc heap
+    # trimming).
     for i in range(p.m):
         acc = np.zeros((t, d), dtype=np.int64)
         for j in range(p.n):
             a_ij = rng.integers(0, q, size=(t, d), dtype=np.int64)
-            acc += a_ij * s_hat[:, j, :] % q
+            acc += a_ij * s_hat[:, j, :]
         b_hat[:, i, :] = acc % q
     b = polyring.inv_ntt(b_hat, p)
     shape = (t, p.m, d)

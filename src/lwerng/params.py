@@ -81,9 +81,10 @@ def validate(p: Params) -> None:
     """Check every parameter invariant; raise on the first violation.
 
     q < 2^26 and degree <= 2^10 keep the ring exact and each dense transform
-    matrix at 8 MiB at most: its float64 sums over 13-bit limbs stay below
-    2^49 (see polyring.ntt).  n <= 2^11 keeps a mat_vec_mul row sum of n
-    products below 2^11 * (q - 1)^2 < 2^63, so it needs one reduction.
+    matrix at 8 MiB at most: the transform's float64 product needs at most
+    two limbs of coefficient bits to keep its sums below 2^53 (see
+    polyring.ntt).  n <= 2^11 keeps a mat_vec_mul row sum of n products
+    below 2^11 * (q - 1)^2 < 2^63, so it needs one reduction.
 
     Raises:
         InvalidModulus: q fails oddness, q = 1 (mod 2*degree), the bound

@@ -6,12 +6,16 @@ one ring element in `hide`, a whole chunk of trials in the distinguishing
 experiment.  Every coefficient is reduced into [0, q).  Multiplication runs
 through the negacyclic number-theoretic transform, applied as one dense
 degree x degree matrix product over all leading axes at once.  All
-arithmetic is exact: every `Params` is validated when built, which keeps q
-below 2^26 and degree at most 2^10.  The transforms' float64 products work
-on 13-bit limbs, so their sums stay below 2^49 (see `ntt`), and one
-product per transform serves both limbs of every row; in int64 a
-product of two reduced coefficients is below 2^52, and since `validate`
-bounds n by 2^11, the unreduced row sums of `mat_vec_mul` stay below 2^63.
+arithmetic is exact for inputs in [0, q), which every caller passes: every
+`Params` is validated when built, which keeps q below 2^26 and degree at
+most 2^10.  The transform matrices hold centred entries, at most
+floor(q/2) in absolute value, so a float64 product stays exact while
+degree * (2^L - 1) * floor(q/2) < 2^53 for inputs below 2^L (see `ntt`).
+The widest such L is derived per (q, degree): at the default ring it
+covers all of q - 1 and a transform is one product, elsewhere limbs of L
+bits share one product.  In int64 a product of two reduced coefficients
+is below 2^52, and since `validate` bounds n by 2^11, the unreduced row
+sums of `mat_vec_mul` stay below 2^63.
 
 Serialization is normative and bit-exact: word i of the output is
 coefficient i, packed as a 32-bit little-endian word, so bit 32*i+j of the
@@ -35,7 +39,8 @@ def _matrices(q: int, degree: int, psi: int):
     reverses the log2(degree) bits of k: the bit-reversed evaluation order
     of the usual butterfly transform.  The inverse matrix is the inverse
     evaluation scaled by degree^-1 mod q.  Both index one table of the
-    2*degree powers of psi.
+    2*degree exponents, and every entry is centred: the residue in
+    (-q/2, q/2], so at most floor(q/2) in absolute value.
     """
     bits = degree.bit_length() - 1
     brv = np.array([int(f"{k:0{bits}b}"[::-1], 2) for k in range(degree)])
@@ -44,24 +49,47 @@ def _matrices(q: int, degree: int, psi: int):
     for _ in range(2 * degree - 1):
         powers.append(powers[-1] * psi % q)
     powers = np.array(powers, dtype=np.int64)
-    fwd = powers[exps].astype(np.float64)
-    inv = (pow(degree, -1, q) * powers[-exps.T % (2 * degree)] % q).astype(np.float64)
+    # inv_powers[e] = degree^-1 * psi^-e mod q
+    inv_powers = pow(degree, -1, q) * powers[-np.arange(2 * degree) % (2 * degree)] % q
+    fwd = _centred(powers, q)[exps]
+    inv = _centred(inv_powers, q)[exps.T]
     fwd.setflags(write=False)
     inv.setflags(write=False)
     return fwd, inv
 
 
+def _centred(residues: np.ndarray, q: int) -> np.ndarray:
+    """Residues in [0, q) as float64 representatives in (-q/2, q/2]."""
+    return np.where(residues > q // 2, residues - q, residues).astype(np.float64)
+
+
+@lru_cache(maxsize=4)
+def _limbs(q: int, degree: int) -> tuple:
+    """(bits, count): the widest limb whose products stay exact, and how many
+    such limbs cover a coefficient in [0, q) (see ntt)."""
+    widest = ((1 << 53) - 1) // (degree * (q // 2))  # largest exact limb value
+    bits = (widest + 1).bit_length() - 1
+    return bits, -(-(q - 1).bit_length() // bits)
+
+
 def _transform(a, matrix, q: int) -> np.ndarray:
-    """a @ matrix mod q over the last axis, exact (see ntt)."""
+    """a @ matrix mod q over the last axis, exact for a in [0, q) (see ntt)."""
     a = np.asarray(a, dtype=np.int64)
     flat = a.reshape(-1, matrix.shape[0])
-    rows = len(flat)
-    limbs = np.empty((2 * rows, flat.shape[1]), dtype=np.int64)  # hi rows, then lo rows
-    np.right_shift(flat, 13, out=limbs[:rows])
-    np.bitwise_and(flat, 0x1FFF, out=limbs[rows:])
-    prod = (limbs.astype(np.float64) @ matrix).astype(np.int64)
-    out = prod[:rows] << 13
-    out += prod[rows:]
+    bits, count = _limbs(q, matrix.shape[0])
+    limbs = np.empty((count,) + flat.shape)  # float64, lowest limb first
+    rest = flat
+    for limb in limbs[:-1]:
+        limb[...] = rest & ((1 << bits) - 1)
+        rest = rest >> bits
+    limbs[-1] = rest
+    # the limbs' rows stacked into one operand, so one product reads matrix once
+    prod = (limbs.reshape(-1, flat.shape[1]) @ matrix).astype(np.int64)
+    prod = prod.reshape(limbs.shape)
+    out = prod[-1]
+    for limb in prod[-2::-1]:
+        out <<= bits
+        out += limb
     out %= q
     return out.reshape(a.shape)
 
@@ -69,16 +97,22 @@ def _transform(a, matrix, q: int) -> np.ndarray:
 def ntt(a, p: Params) -> np.ndarray:
     """Forward negacyclic transform of every polynomial in a (..., degree) array.
 
-    One dense degree x degree matrix product over the last axis, for
-    coefficients in [0, q).  It runs in float64 on 13-bit limbs: the N rows
-    of hi limbs a >> 13 and of lo limbs a & 0x1FFF are stacked into one
-    (2N, degree) operand, so a single product reads M once and yields
-    hi = (a >> 13) @ M and lo = (a & 0x1FFF) @ M.  Both are exact: every
-    term is an integer below 2^13 * q and every partial sum one below
-    degree * 2^13 * q <= 2^49 < 2^53 (validate keeps degree <= 2^10 and
-    q < 2^26), so no summation order or fused multiply-add can round.  They
-    recombine in int64 with one reduction, (hi * 2^13 + lo) mod q, since
-    hi * 2^13 + lo < 2^62 + 2^49 < 2^63.
+    One dense degree x degree matrix product M over the last axis, in
+    float64, for coefficients in [0, q); exactness rests on that range.
+    M's entries are centred, at most floor(q/2) in absolute value, so a
+    product of an input below 2^L with M has every partial sum at most
+    degree * (2^L - 1) * floor(q/2) in absolute value, whatever the
+    summation order or fused multiply-add use.  L is the widest limb that
+    keeps that bound below 2^53, derived once per (q, degree).  At the
+    default ring (q = 8380417, degree 256) L = 23 covers all 23 bits of
+    q - 1: 256 * (2^23 - 1) * 4190208 < 9.0e15 < 2^53, so one
+    (N, 256) @ (256, 256) product and one signed reduction mod q do it.
+    Where L is narrower than q - 1 (validate's corners reach q < 2^26 at
+    degree 2^10, where L = 18), the coefficients split into limbs of L
+    bits, the N rows of each limb are stacked into one operand so a single
+    product reads M once, and the limb products recombine in int64 as
+    sum_i prod_i * 2^(i*L), whose magnitude stays below
+    degree * floor(q/2) * 2^26 <= 2^61, before the one reduction.
     """
     return _transform(a, _matrices(p.q, p.degree, p.psi)[0], p.q)
 

@@ -13,7 +13,9 @@ redraws what `hide` discards with the package samplers that define it (the
 `ref_*` samplers check those).  `ref_battery` is the per-bit battery: it
 unpacks the buffer to one byte per bit and counts pairs with `bincount`,
 where the package counts popcounts of 64-bit words; it shares only the
-package's `TestReport` verdict rule.
+package's `TestReport` verdict rule.  `distinguisher_hits_oracle` scores
+one sample at a time on Python ints and shares only the chi-square
+threshold.
 """
 
 import hashlib
@@ -23,6 +25,7 @@ import numpy as np
 from scipy.special import gammaincc
 
 from lwerng.errors import DegenerateState
+from lwerng.lwe_hiding import _CHI2_15_MEDIAN
 from lwerng.sampling import expand_matrix, sample_error, sample_secret, seed_payload
 from lwerng.stats import TestReport
 
@@ -183,6 +186,28 @@ def hide_transcript(ent, p):
     """(A, s, e, r) of `hide(ent, p)` as lists, redrawn with the public samplers."""
     return tuple(x.tolist() for x in (expand_matrix(ent, p), sample_secret(ent, p),
                                       sample_error(ent, p, nonce=0), seed_payload(ent, p)))
+
+
+# --- distinguisher oracle ----------------------------------------------------
+
+def distinguisher_hits_oracle(samples, q):
+    """Hit counts of the distinguisher battery, one sample at a time on Python
+    ints: coefficient c falls in bin floor(16c/q), the serial correlation is
+    summed exactly, and the high bit is its definition q/4 < c < 3q/4.  Only
+    the chi-square threshold is the package's."""
+    hits = dict.fromkeys(("coef_chi2", "serial_corr", "high_bit_weight"), 0)
+    mid = (q - 1) // 2
+    for sample in samples:
+        row = [int(c) for c in sample]
+        counts = [0] * 16
+        for c in row:
+            counts[16 * c // q] += 1
+        expected = len(row) / 16
+        chi2 = sum((k - expected) ** 2 / expected for k in counts)
+        hits["coef_chi2"] += chi2 > _CHI2_15_MEDIAN
+        hits["serial_corr"] += sum((a - mid) * (b - mid) for a, b in zip(row, row[1:])) > 0
+        hits["high_bit_weight"] += 2 * sum(4 * c > q and 4 * c < 3 * q for c in row) > len(row)
+    return hits
 
 
 # --- transform oracles -------------------------------------------------------

@@ -175,6 +175,31 @@ def test_distinguish_command(capsys):
     assert "coef_chi2" in out and "advantage=" in out
 
 
+def test_distinguish_json_agrees_with_text(capsys):
+    argv = ["distinguish", "--trials", "1000", "--mode", "uniform_vs_uniform", "--seed", "5"]
+    code, text, _ = run(argv, capsys)
+    json_code, out, _ = run(argv + ["--json"], capsys)
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    report = json.loads(out, parse_constant=reject)
+    assert code == json_code == 0
+    assert (report["mode"], report["trials"], report["seed"]) == ("uniform_vs_uniform", 1000, 5)
+    lines = text.splitlines()
+    assert lines[0] == "mode=uniform_vs_uniform trials=1000"
+    for res, line in zip(report["results"], lines[1:], strict=True):
+        fields = dict(token.split("=") for token in line.split()[1:])
+        assert line.split()[0] == res["name"]
+        assert isinstance(res["hits_a"], int) and isinstance(res["hits_b"], int)
+        assert res["hit_rate_a"] == res["hits_a"] / 1000
+        assert res["hit_rate_b"] == res["hits_b"] / 1000
+        assert fields["hits_a"] == f"{res['hit_rate_a']:.4f}"
+        assert fields["hits_b"] == f"{res['hit_rate_b']:.4f}"
+        assert fields["advantage"] == f"{res['advantage']:.6f}"
+        assert fields["ci3s"] == f"±{3 * res['sigma']:.6f}"
+
+
 def test_distinguish_rejects_positive_control_mode(capsys):
     code, out, err = run(["distinguish", "--trials", "1000",
                           "--mode", "positive_control"], capsys)

@@ -4,11 +4,17 @@ import pytest
 from lwerng import polyring as pr
 from lwerng.errors import InsufficientTrials
 from lwerng.params import Params
-from lwerng.lwe_hiding import MODES, _hiding_batch, distinguishing_experiment, hide
+from lwerng.lwe_hiding import (
+    MODES,
+    _distinguisher_hits,
+    _hiding_batch,
+    distinguishing_experiment,
+    hide,
+)
 from lwerng.sampling import sample_secret
 
 from conftest import degenerate_pair_advantages, fixed_ent
-from oracles import conv_negacyclic, hide_oracle, hide_transcript
+from oracles import conv_negacyclic, distinguisher_hits_oracle, hide_oracle, hide_transcript
 
 
 def test_hide_deterministic_1000_calls(ent_zero, params):
@@ -134,6 +140,23 @@ def test_experiment_hiding_null_smoke(params):
 def test_experiment_positive_control(params):
     # the high-bit distinguisher has power: it separates the degenerate pair
     assert degenerate_pair_advantages(params)["high_bit_weight"] > 0.9
+
+
+@pytest.mark.parametrize("q", [8380417, 257, 17])
+def test_distinguisher_hits_match_scalar_oracle(q):
+    # coefficients on either side of every bin edge ceil(kq/16) and of the
+    # high-bit bounds q/4 and 3q/4, where the bins and the high bit could slip
+    edges = [-(-k * q // 16) for k in range(1, 16)]
+    boundary = ([0, q - 1, q // 4, q // 4 + 1, 3 * q // 4, 3 * q // 4 + 1]
+                + edges + [e - 1 for e in edges])
+    rng = np.random.default_rng(q)
+    for width in (64, 37):
+        rows = np.array([[c] * width for c in boundary]
+                        + [rng.choice(boundary, size=width) for _ in range(200)],
+                        dtype=np.int64)
+        hits = _distinguisher_hits(rows, q)
+        assert hits == distinguisher_hits_oracle(rows, q)
+        assert all(0 < h < len(rows) for h in hits.values())
 
 
 def test_modes_are_the_claim_and_its_null():

@@ -51,9 +51,32 @@ def test_transform_matches_references(q, degree):
         assert ref_ntt(pr.inv_ntt(poly, p).tolist(), p) == poly.tolist()
 
 
+def test_transform_exact_at_one_limb_bound(params):
+    # at the default ring one 23-bit limb carries the whole coefficient, and a
+    # column's sums stay within 256 * (q - 1) * floor(q/2) ~ 2^52.997; the
+    # largest come from q - 1 where the centred column is positive (then
+    # negative) and 0 elsewhere
+    q = params.q
+    assert pr._limbs(q, params.degree)[1] == 1
+    for matrix, transform, ref in zip(pr._matrices(q, params.degree, params.psi),
+                                      (pr.ntt, pr.inv_ntt),
+                                      (ref_staged_ntt, ref_staged_inv_ntt)):
+        x = np.concatenate([np.where(matrix.T > 0, q - 1, 0),
+                            np.where(matrix.T < 0, q - 1, 0),
+                            np.full((1, params.degree), q - 1)])
+        assert np.array_equal(transform(x, params), ref(x, params))
+
+
+@pytest.mark.parametrize("degree", [1024, 2])
+def test_limb_count_at_validate_corners(degree):
+    # the largest q < 2^26 with q = 1 (mod 2048) needs at most two limbs
+    assert pr._limbs(67104769, degree)[1] <= 2
+
+
 def test_transform_exact_at_degree_bound():
-    # degree 2^10 at the largest prime q < 2^26 with q = 1 (mod 2048): the
-    # float64 limb sums reach their 2^49 bound
+    # degree 2^10 at the largest prime q < 2^26 with q = 1 (mod 2048): two
+    # 18-bit limbs, whose float64 sums stay within
+    # 1024 * (2^18 - 1) * floor(q/2) ~ 2^52.9999
     p = Params(q=67104769, degree=1024)
     rng = np.random.default_rng(26)
     x = np.concatenate([rng.integers(0, p.q, size=(7, p.degree), dtype=np.int64),
@@ -63,10 +86,16 @@ def test_transform_exact_at_degree_bound():
     assert np.array_equal(pr.inv_ntt(x, p), ref_staged_inv_ntt(x, p))
     assert np.array_equal(pr.inv_ntt(fwd, p), x)
     assert fwd[-1].tolist() == ref_ntt(x[-1].tolist(), p)
-    # one 1-D polynomial: the hi and lo limb rows of a single row, at the bound
+    # one 1-D polynomial: the two limb rows of a single row, at the bound
     assert np.array_equal(pr.ntt(x[-1], p), fwd[-1])
     assert np.array_equal(pr.inv_ntt(fwd[-1], p), x[-1])
     assert np.array_equal(pr.inv_ntt(x[-1], p), ref_staged_inv_ntt(x[-1:], p)[0])
+    # inputs 2^k - 1 on the positive (then negative) entries of a column fill
+    # every limb up to its top bit, whatever width the limbs have
+    cols = pr._matrices(p.q, p.degree, p.psi)[0].T[[0, 1, 511, 1023]]
+    y = np.concatenate([np.where(sign * cols > 0, (1 << k) - 1, 0)
+                        for sign in (1, -1) for k in range(17, 26)])
+    assert np.array_equal(pr.ntt(y, p), ref_staged_ntt(y, p))
 
 
 def test_transform_matrices_read_only(params):
