@@ -99,8 +99,8 @@ class AdvantageReport:
         for r in self.results:
             lines.append(
                 f"{r.name:<16} advantage={r.advantage:.6f} "
-                f"ci3s=±{3 * r.sigma:.6f} hits_a={r.hit_rate_a:.4f} "
-                f"hits_b={r.hit_rate_b:.4f}"
+                f"ci3s=±{3 * r.sigma:.6f} hit_rate_a={r.hit_rate_a:.4f} "
+                f"hit_rate_b={r.hit_rate_b:.4f}"
             )
         return "\n".join(lines)
 
@@ -200,7 +200,8 @@ def _hiding_batch(rng, t: int, p: Params) -> np.ndarray:
     """
     q = p.q
     d = p.degree
-    s = (rng.integers(0, 2 * p.eta + 1, size=(t, p.n, d), dtype=np.int64) - p.eta) % q
+    # centred secret in [-eta, eta]: ntt is exact for |x| < q, so no % q
+    s = rng.integers(0, 2 * p.eta + 1, size=(t, p.n, d), dtype=np.int64) - p.eta
     s_hat = polyring.ntt(s, p)
     b_hat = np.zeros((t, p.m, d), dtype=np.int64)
     # Entries are drawn one at a time, row by row; that order fixes the

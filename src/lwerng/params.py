@@ -20,8 +20,8 @@ class Params:
     """Lattice constants; construction raises if `validate` rejects them.
 
     Attributes:
-        q: coefficient modulus; must satisfy q odd, q = 1 (mod 2*degree)
-            and q < 2^26.
+        q: coefficient modulus; must satisfy q odd, q = 1 (mod 2*degree),
+            q < 2^26 and degree * (q - 1) * floor(q/2) < 2^53.
         n: secret vector dimension (at most 2^11).
         m: sample vector dimension.
         degree: polynomial degree (power of two, at most 2^10).
@@ -80,16 +80,17 @@ def default_params() -> Params:
 def validate(p: Params) -> None:
     """Check every parameter invariant; raise on the first violation.
 
-    q < 2^26 and degree <= 2^10 keep the ring exact and each dense transform
-    matrix at 8 MiB at most: the transform's float64 product needs at most
-    two limbs of coefficient bits to keep its sums below 2^53 (see
-    polyring.ntt).  n <= 2^11 keeps a mat_vec_mul row sum of n products
-    below 2^11 * (q - 1)^2 < 2^63, so it needs one reduction.
+    degree * (q - 1) * floor(q/2) < 2^53 keeps each ring transform one
+    exact float64 product (see polyring.ntt).  At degree 256 it means
+    q < 2^23, which the default q = 8380417 meets.  degree <= 2^10 keeps
+    each dense transform matrix at 8 MiB at most.  q < 2^26 and n <= 2^11
+    keep a mat_vec_mul row sum of n products below 2^11 * (q - 1)^2 < 2^63,
+    so it needs one reduction.
 
     Raises:
         InvalidModulus: q fails oddness, q = 1 (mod 2*degree), the bound
-            q < 2^26, or no 2*degree-th root exists; or degree is not a
-            power of two in [2, 2^10].
+            q < 2^26 or the transform bound above, or no 2*degree-th root
+            exists; or degree is not a power of two in [2, 2^10].
         InconsistentLayout: n, m or eta is not positive, n > 2^11, or
             2*eta >= q.
     """
@@ -105,6 +106,10 @@ def validate(p: Params) -> None:
         # products of reduced coefficients stay below 2^52, which leaves int64
         # headroom for the row sums of mat_vec_mul (see polyring)
         raise InvalidModulus(f"q={p.q} is not below 2^26")
+    if p.degree * (p.q - 1) * (p.q // 2) >= 1 << 53:
+        raise InvalidModulus(
+            f"q={p.q} at degree {p.degree} is too wide for one exact float64 transform"
+        )
     # existence of the root (guaranteed for prime q, not for composite)
     psi = p.psi
     if pow(psi, p.degree, p.q) != p.q - 1 or pow(psi, 2 * p.degree, p.q) != 1:

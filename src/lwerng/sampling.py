@@ -59,13 +59,15 @@ def _accepted(xofs, width: int, keep: int, bound: int, need: int) -> np.ndarray:
     Each value is a width-bit LSB-first field of the digest cut to its low
     `keep` bits.  The field starting at bit t is the little-endian 64-bit
     word at byte t // 8 shifted right by t % 8; t % 8 + width <= 64 holds
-    because no width exceeds 32 bits (q < 2^26 and 2*eta < q).  The words
-    at every byte offset are one overlapping view of the digest, so the
-    read is exact integer arithmetic with no per-bit array.  The first read
-    covers the expected number of draws plus slack; a digest that yields
-    too few values is read again at twice the length.  A shorter shake_256
-    digest is a prefix of every longer one, so the values equal those of a
-    reader that takes one field at a time.
+    because no width exceeds 32 bits: validate keeps q below 2^26, so a
+    matrix read is at most 4 bytes, and a secret read of bitlen(2*eta)
+    bits is no wider since 2*eta < q.  The words at every byte offset are
+    one overlapping view of the digest, so the read is exact integer
+    arithmetic with no per-bit array.  The first read covers the expected
+    number of draws plus slack; a digest that yields too few values is read
+    again at twice the length.  A shorter shake_256 digest is a prefix of
+    every longer one, so the values equal those of a reader that takes one
+    field at a time.
     """
     draws = (need << keep) // bound + need // 16
     draws += -draws % 8  # whole bytes per digest: no field straddles two XOFs

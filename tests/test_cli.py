@@ -194,8 +194,9 @@ def test_distinguish_json_agrees_with_text(capsys):
         assert isinstance(res["hits_a"], int) and isinstance(res["hits_b"], int)
         assert res["hit_rate_a"] == res["hits_a"] / 1000
         assert res["hit_rate_b"] == res["hits_b"] / 1000
-        assert fields["hits_a"] == f"{res['hit_rate_a']:.4f}"
-        assert fields["hits_b"] == f"{res['hit_rate_b']:.4f}"
+        assert fields["hit_rate_a"] == f"{res['hit_rate_a']:.4f}"
+        assert fields["hit_rate_b"] == f"{res['hit_rate_b']:.4f}"
+        assert "hits_a" not in fields and "hits_b" not in fields
         assert fields["advantage"] == f"{res['advantage']:.6f}"
         assert fields["ci3s"] == f"±{3 * res['sigma']:.6f}"
 

@@ -62,11 +62,12 @@ def test_initialize_matches_reference(params):
         assert bank.mask == bits_to_int(oracle_mask)
 
 
-@pytest.mark.parametrize("p", [Params(q=67104769), Params(q=257, degree=64)],
+@pytest.mark.parametrize("p", [Params(q=16776961, degree=64), Params(q=257, degree=64)],
                          ids=["q26", "degree64"])
 def test_initialize_matches_reference_at_other_geometries(p):
-    # coefficients up to q - 1 < 2^26 fill every word to its top set bit, and
-    # degree 64 leaves a 1024-bit mask of 32 words
+    # coefficients up to q - 1 < 2^24, the widest q that degree 64 (the
+    # smallest the registers fill from) admits, fill every word to its top
+    # set bit; degree 64 leaves a 1024-bit mask of 32 words
     rng = random.Random(101)
     for trial in range(20):
         coeffs = [rng.randrange(p.q) for _ in range(p.degree)]

@@ -116,7 +116,22 @@ def test_default_params_cached():
 
 
 def test_modulus_bound_keeps_ring_exact():
-    # both primes are 1 mod 512; int64 ring products stay exact only below 2^26
+    # int64 ring products stay exact only below 2^26: the smallest prime
+    # q = 1 (mod 512) above it is rejected at degree 2, where the transform
+    # bound below would admit it
+    assert 2 * (67118593 - 1) * (67118593 // 2) < 1 << 53
     with pytest.raises(InvalidModulus):
-        Params(q=67118593)  # smallest such prime above 2^26
-    Params(q=67104769)  # largest such prime below 2^26
+        Params(q=67118593, degree=2)
+    # one float64 transform is exact only while degree * (q - 1) * floor(q/2)
+    # < 2^53; each pair is the largest accepted prime q = 1 (mod 2*degree) and
+    # the next one, which crosses that bound
+    for degree, accepted, rejected in [(256, 8383489, 8392193), (1024, 4188161, 4206593)]:
+        assert degree * (accepted - 1) * (accepted // 2) < 1 << 53
+        assert degree * (rejected - 1) * (rejected // 2) >= 1 << 53
+        assert Params(q=accepted, degree=degree).q == accepted
+        with pytest.raises(InvalidModulus):
+            Params(q=rejected, degree=degree)
+    # the largest prime q = 1 (mod 2048) below 2^26 fits only the smallest rings
+    assert Params(q=67104769, degree=4).q == 67104769
+    with pytest.raises(InvalidModulus):
+        Params(q=67104769, degree=8)

@@ -1,11 +1,12 @@
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lwerng import polyring as pr
-from lwerng.errors import DimensionMismatch
-from lwerng.params import Params
+from lwerng.errors import DimensionMismatch, InvalidModulus
+from lwerng.params import Params, _smallest_negacyclic_root
 
 from oracles import (
     conv_negacyclic,
@@ -46,38 +47,55 @@ def test_transform_matches_references(q, degree):
     x = rng.integers(0, q, size=(64, 3, degree), dtype=np.int64)
     assert np.array_equal(pr.ntt(x, p), ref_staged_ntt(x, p))
     assert np.array_equal(pr.inv_ntt(x, p), ref_staged_inv_ntt(x, p))
+    # the centred matrices keep the product exact for inputs in (-q, 0) too
+    assert np.array_equal(pr.ntt(x - q, p), pr.ntt(x, p))
+    assert np.array_equal(pr.inv_ntt(x - q, p), pr.inv_ntt(x, p))
     for poly in x[0]:
         assert pr.ntt(poly, p).tolist() == ref_ntt(poly.tolist(), p)
         assert ref_ntt(pr.inv_ntt(poly, p).tolist(), p) == poly.tolist()
 
 
-def test_transform_exact_at_one_limb_bound(params):
-    # at the default ring one 23-bit limb carries the whole coefficient, and a
-    # column's sums stay within 256 * (q - 1) * floor(q/2) ~ 2^52.997; the
-    # largest come from q - 1 where the centred column is positive (then
-    # negative) and 0 elsewhere
-    q = params.q
-    assert pr._limbs(q, params.degree)[1] == 1
-    for matrix, transform, ref in zip(pr._matrices(q, params.degree, params.psi),
-                                      (pr.ntt, pr.inv_ntt),
-                                      (ref_staged_ntt, ref_staged_inv_ntt)):
-        x = np.concatenate([np.where(matrix.T > 0, q - 1, 0),
-                            np.where(matrix.T < 0, q - 1, 0),
-                            np.full((1, params.degree), q - 1)])
-        assert np.array_equal(transform(x, params), ref(x, params))
+def column_extremes(matrix, value):
+    """Per column of matrix, value where the column is positive (then negative)
+    and 0 elsewhere: the rows whose products reach the largest sums."""
+    cols = matrix.T
+    return np.concatenate([np.where(cols > 0, value, 0), np.where(cols < 0, value, 0)])
 
 
-@pytest.mark.parametrize("degree", [1024, 2])
-def test_limb_count_at_validate_corners(degree):
-    # the largest q < 2^26 with q = 1 (mod 2048) needs at most two limbs
-    assert pr._limbs(67104769, degree)[1] <= 2
+def test_transform_exact_at_one_product_bound():
+    # the default ring and the largest prime degree 256 admits, where a
+    # column's sums reach 256 * (q - 2) * floor(q/2) ~ 2^52.998; q - 1 is a
+    # multiple of 2^9 at any q = 1 (mod 512), which keeps its sums exact far
+    # past 2^53, so the odd q - 2 is fed
+    for q in (8380417, 8383489):
+        p = Params(q=q)
+        for matrix, transform, ref in zip(pr._matrices(q, p.degree, p.psi),
+                                          (pr.ntt, pr.inv_ntt),
+                                          (ref_staged_ntt, ref_staged_inv_ntt)):
+            x = np.concatenate([column_extremes(matrix, q - 2),
+                                np.full((1, p.degree), q - 2)])
+            assert np.array_equal(transform(x, p), ref(x, p))
+            assert np.array_equal(transform(-x, p), ref(-x % q, p))
+
+
+def test_one_product_inexact_past_the_bound():
+    # positive control: validate rejects q = 67104769 at degree 256, and one
+    # float64 product there really does round, on the inputs the bound
+    # test above feeds
+    q, degree = 67104769, 256
+    with pytest.raises(InvalidModulus):
+        Params(q=q, degree=degree)
+    ring = SimpleNamespace(q=q, degree=degree, psi=_smallest_negacyclic_root(q, degree))
+    matrix = pr._matrices(q, degree, ring.psi)[0]
+    x = column_extremes(matrix, q - 2)
+    wrong = (pr._transform(x, matrix, q) != ref_staged_ntt(x, ring)).any(axis=1)
+    assert wrong.sum() > degree
 
 
 def test_transform_exact_at_degree_bound():
-    # degree 2^10 at the largest prime q < 2^26 with q = 1 (mod 2048): two
-    # 18-bit limbs, whose float64 sums stay within
-    # 1024 * (2^18 - 1) * floor(q/2) ~ 2^52.9999
-    p = Params(q=67104769, degree=1024)
+    # degree 2^10 at the largest prime q = 1 (mod 2048) it admits: one
+    # product whose sums stay within 1024 * (q - 1) * floor(q/2) ~ 2^52.996
+    p = Params(q=4188161, degree=1024)
     rng = np.random.default_rng(26)
     x = np.concatenate([rng.integers(0, p.q, size=(7, p.degree), dtype=np.int64),
                         np.full((1, p.degree), p.q - 1, dtype=np.int64)])
@@ -86,15 +104,14 @@ def test_transform_exact_at_degree_bound():
     assert np.array_equal(pr.inv_ntt(x, p), ref_staged_inv_ntt(x, p))
     assert np.array_equal(pr.inv_ntt(fwd, p), x)
     assert fwd[-1].tolist() == ref_ntt(x[-1].tolist(), p)
-    # one 1-D polynomial: the two limb rows of a single row, at the bound
+    # one 1-D polynomial, at the bound
     assert np.array_equal(pr.ntt(x[-1], p), fwd[-1])
     assert np.array_equal(pr.inv_ntt(fwd[-1], p), x[-1])
     assert np.array_equal(pr.inv_ntt(x[-1], p), ref_staged_inv_ntt(x[-1:], p)[0])
-    # inputs 2^k - 1 on the positive (then negative) entries of a column fill
-    # every limb up to its top bit, whatever width the limbs have
-    cols = pr._matrices(p.q, p.degree, p.psi)[0].T[[0, 1, 511, 1023]]
-    y = np.concatenate([np.where(sign * cols > 0, (1 << k) - 1, 0)
-                        for sign in (1, -1) for k in range(17, 26)])
+    # odd near-maximal inputs on the positive (then negative) entries of a
+    # few columns
+    matrix = pr._matrices(p.q, p.degree, p.psi)[0][:, [0, 1, 511, 1023]]
+    y = column_extremes(matrix, p.q - 2)
     assert np.array_equal(pr.ntt(y, p), ref_staged_ntt(y, p))
 
 
@@ -243,7 +260,7 @@ def test_serialize_bit_layout(params):
 
 
 def test_mul_exact_at_largest_modulus():
-    p = Params(q=67104769)  # largest prime below the 2^26 bound with q = 1 (mod 512)
+    p = Params(q=8383489)  # largest prime q = 1 (mod 512) that degree 256 admits
     rng = random.Random(23)
     for _ in range(3):
         a = [p.q - 1 - rng.randrange(8) for _ in range(p.degree)]
@@ -259,7 +276,7 @@ def near_max_hat(rng, p):
 def test_mat_vec_exact_at_largest_modulus():
     # near-maximal coefficients feed the lazy transform large entries, and a
     # secret with a near-maximal transform makes the unreduced row sums large
-    p = Params(q=67104769)
+    p = Params(q=8383489)
     rng = random.Random(24)
     mat = [[[p.q - 1 - rng.randrange(8) for _ in range(p.degree)] for _ in range(p.n)]
            for _ in range(p.m)]

@@ -156,9 +156,9 @@ def test_reseed_derivation_distinct(ent_zero):
 @pytest.mark.parametrize("which", ["params", "toy_params", "eta2", "eta3", "q26"])
 def test_samplers_match_sequential_reference(which, request):
     # eta = 2 and 3 accept 5/8 and 7/8 of the 3-bit secret reads; q26 reads
-    # 26-bit fields from 32-bit reads, the widest that q < 2^26 allows
+    # 25-bit fields through 32-bit reads, the widest read width q < 2^26 allows
     p = {"eta2": Params(eta=2), "eta3": Params(eta=3),
-         "q26": Params(q=67104769)}.get(which)
+         "q26": Params(q=33554273, degree=16)}.get(which)
     if p is None:
         p = request.getfixturevalue(which)
     for tag in range(4000, 4006):
