@@ -51,7 +51,10 @@ in two phases:
      the step's stretch of W and S = sum of positions from per-byte tables,
      advances the slaves by S bits in FIFO moves of at most 256 bits, keeps
      the S bits each slave popped, computes the peak and updates the master.
-     Each step leaves one fixed-width record.
+     Every step, a zero word's included, goes through this one body and
+     leaves one fixed-width record; a zero word's record is all zero and
+     gathers to no bits.  `emit_bits` walks until its request is met and
+     `step` walks one step.
   2. One vectorised pass per batch (`_gather`): the records are unpacked, the
      run-gather index is built from the bits of the recorded words (per
      position p, p bits of each slave's window; then the master's bits), and
@@ -181,18 +184,33 @@ class LfsrBank:
 
     def __init__(self, params: Params, regs, mask: int, coeff_cursor: int = 0,
                  mask_cursor: int = 0):
+        """Raises DegenerateState if params leave no mask words.
+
+        Raises ValueError on state the machine cannot hold: other than four
+        registers, or a register, the mask or a cursor outside its width.
+        """
         _require_mask_words(params)
+        regs = list(regs)
+        if len(regs) != Params.lfsr_count:
+            raise ValueError(f"{len(regs)} registers, not {Params.lfsr_count}")
+        if not all(0 <= r <= _REG_MASK for r in regs):
+            raise ValueError(f"registers must lie in [0, 2^{_REG_BITS})")
+        if not 0 <= mask < 1 << params.mask_bits:
+            raise ValueError(f"mask must lie in [0, 2^{params.mask_bits})")
+        if not 0 <= coeff_cursor < _CURSORS:
+            raise ValueError(f"coeff_cursor={coeff_cursor} is not in [0, {_CURSORS})")
+        if not 0 <= mask_cursor < params.mask_bits:
+            raise ValueError(f"mask_cursor={mask_cursor} is not in [0, {params.mask_bits})")
         self.params = params
-        self.regs = list(regs)
+        self.regs = regs
         self.mask = mask
         self.coeff_cursor = coeff_cursor
         self.mask_cursor = mask_cursor
         # whitened bits stepped out but not yet read, one uint8 per bit
         self._buf = np.empty(0, np.uint8)
-        nbytes = params.mask_bits // 8
         self._mask_bits = np.unpackbits(
-            np.frombuffer((mask & ((1 << params.mask_bits) - 1)).to_bytes(nbytes, "little"),
-                          np.uint8), bitorder="little")
+            np.frombuffer(mask.to_bytes(params.mask_bits // 8, "little"), np.uint8),
+            bitorder="little")
 
     # -- construction ------------------------------------------------------
 
@@ -206,10 +224,7 @@ class LfsrBank:
 
     def step(self):
         """One full governing-word cycle; returns raw (value, nbits), LSB-first."""
-        if not self.regs[3] >> (self.coeff_cursor * _WORD_BITS) & _M32:
-            self.coeff_cursor = (self.coeff_cursor + 1) % _CURSORS
-            return 0, 0
-        raw = _gather(self._walk(1))  # a nonzero word emits, so this is one step
+        raw = _gather(self._walk(0))
         return int.from_bytes(np.packbits(raw, bitorder="little"), "little"), raw.size
 
     def step_trace(self):
@@ -235,21 +250,21 @@ class LfsrBank:
     def _walk(self, need: int):
         """Phase 1: step until `need` raw bits are out or the master is zero.
 
+        The walk takes at least one step, so `_walk(0)` is exactly one.
         Each step reads w, pops S = sum of w's set positions from every
         slave in FIFO moves of at most one register width (x1 takes
         x1^x2, x2 takes x2^x3, x3 takes x3^W), updates the master and
-        records the popped windows, the master's ejected bits and w.  Steps
-        with w = 0 only advance the cursor and leave no record.
+        records the popped windows, the master's ejected bits and w.  A
+        step with w = 0 pops nothing and leaves the master as it is; its
+        record is all zero and gathers to no bits.
         """
         l1, l2, l3, l4 = self.regs
         cursor = self.coeff_cursor
         records = bytearray()
         got = 0
-        while got < need:
+        while True:
             w = l4 >> (cursor * _WORD_BITS) & _M32
             cursor = (cursor + 1) % _CURSORS
-            if not w:
-                continue
             feed, s = _feed(w)
             win1 = win2 = win3 = done = 0
             rem = s
@@ -281,7 +296,7 @@ class LfsrBank:
             records += (win1 | l4o << s | win2 << _SLOT | win3 << 2 * _SLOT
                         | w << 3 * _SLOT).to_bytes(_RECORD // 8, "little")
             got += 3 * s + c
-            if not l4:
+            if got >= need or not l4:
                 break
         self.regs = [l1, l2, l3, l4]
         self.coeff_cursor = cursor
@@ -300,7 +315,8 @@ class LfsrBank:
             raise ValueError("nbits must be >= 0")
         buf = self._buf
         if buf.size < nbits and self.regs[3]:
-            # a nonzero master holds a nonzero word, so the walk records a step
+            # a zero master raises below before any step: the walk would still
+            # advance the cursor, and int_emit does not
             raw = _gather(self._walk(nbits - buf.size))
             c = self.mask_cursor
             reps = -(-(c + raw.size) // self._mask_bits.size)
@@ -347,9 +363,3 @@ def initialize(hs: HiddenSeed) -> LfsrBank:
         raise DegenerateState("master register filled with all zeros")
     return LfsrBank(p, regs, mask)
 
-
-def format_trace_line(trace: dict) -> str:
-    """One-line debug rendering of a step trace record."""
-    c, l4o, peak, fb4 = trace["master"]
-    return (f"cursor={trace['cursor']} w={trace['word']:08x} "
-            f"l4:c={c}:o={l4o:x}:peak={peak:08x}:fb={fb4:x}")

@@ -110,10 +110,9 @@ def validate(p: Params) -> None:
         raise InvalidModulus(
             f"q={p.q} at degree {p.degree} is too wide for one exact float64 transform"
         )
-    # existence of the root (guaranteed for prime q, not for composite)
-    psi = p.psi
-    if pow(psi, p.degree, p.q) != p.q - 1 or pow(psi, 2 * p.degree, p.q) != 1:
-        raise InvalidModulus(f"derived root {psi} is not a primitive 2*degree-th root")
+    # deriving the root raises InvalidModulus when none exists, as for some
+    # composite q; an x with x^degree = -1 has order exactly 2*degree
+    p.psi
     if p.n < 1 or p.m < 1 or p.eta < 1:
         raise InconsistentLayout("n, m and eta must be positive")
     if p.n > 1 << 11:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lwerng.errors import DegenerateState
-from lwerng.lfsr import LfsrBank, _feed, format_trace_line, initialize
+from lwerng.lfsr import _RECORD, LfsrBank, _feed, initialize
 from lwerng.lwe_hiding import HiddenSeed, hide
 from lwerng.params import Params
 
@@ -63,7 +63,7 @@ def test_initialize_matches_reference(params):
 
 
 @pytest.mark.parametrize("p", [Params(q=16776961, degree=64), Params(q=257, degree=64)],
-                         ids=["q26", "degree64"])
+                         ids=["widest_q", "degree64"])
 def test_initialize_matches_reference_at_other_geometries(p):
     # coefficients up to q - 1 < 2^24, the widest q that degree 64 (the
     # smallest the registers fill from) admits, fill every word to its top
@@ -131,6 +131,30 @@ def test_injected_state_without_mask_words_rejected():
         LfsrBank.from_state(Params(q=193, degree=32), regs=(1, 1, 1, 1), mask=0)
 
 
+@pytest.mark.parametrize("state", [
+    dict(regs=(1, 2, 3)),
+    dict(regs=(1, 2, 3, 4, 5)),
+    dict(regs=(1, 2, 3, 1 << 256)),
+    dict(regs=(1 << 300, 2, 3, 4)),
+    dict(regs=(1, -2, 3, 4)),
+    dict(mask=1 << 7168),
+    dict(mask=-1),
+    dict(coeff_cursor=8),
+    dict(coeff_cursor=-1),
+    dict(mask_cursor=7168),
+    dict(mask_cursor=-5),
+], ids=["three_regs", "five_regs", "master_wide", "slave_wide", "negative_reg",
+        "mask_wide", "negative_mask", "coeff_cursor_8", "negative_coeff_cursor",
+        "mask_cursor_wraps", "negative_mask_cursor"])
+def test_injected_state_out_of_range_rejected(params, state):
+    # state the machine cannot hold fails at injection, not somewhere in
+    # emission; each case moves one field of an accepted state out of range
+    valid = dict(regs=(1, 2, 3, 4), mask=5, coeff_cursor=7, mask_cursor=7167)
+    LfsrBank.from_state(params, **valid)
+    with pytest.raises(ValueError):
+        LfsrBank.from_state(params, **{**valid, **state})
+
+
 def test_step_zero_word(params):
     bank = LfsrBank.from_state(params, regs=[5, 6, 7, 2 << 32], mask=0)
     regs_before = list(bank.regs)
@@ -138,6 +162,18 @@ def test_step_zero_word(params):
     assert (v, w) == (0, 0)
     assert bank.regs == regs_before  # nothing shifts on an all-zero word
     assert bank.coeff_cursor == 1
+
+
+@pytest.mark.parametrize("regs", [[5, 6, 7, 2 << 32], [5, 6, 7, 0xFFFFFFFF], [5, 6, 7, 0]],
+                         ids=["zero_word", "full_word", "zero_master"])
+def test_walk_takes_one_step_for_nothing_needed(params, regs):
+    # one record and one cursor move, whatever the word; a zero word's record
+    # is all zero
+    bank = LfsrBank.from_state(params, regs=regs, mask=0)
+    records = bank._walk(0)
+    assert len(records) == _RECORD // 8
+    assert bank.coeff_cursor == 1
+    assert (not any(records)) == (regs[3] & 0xFFFFFFFF == 0)
 
 
 def test_step_single_bit_word(params):
@@ -280,20 +316,27 @@ def test_degenerate_emit_keeps_buffered_bits(params):
 
 
 def test_emit_matches_int_emit_long(params):
-    # >= 20480 steps per seed in reads that split steps and cross the
-    # 7168-bit mask period; the end state must match too
+    # >= 20480 steps per state in reads that split steps and cross the
+    # 7168-bit mask period; the end state must match too.  The last state's
+    # master starts with six zero words, so the first batches step through
+    # zero words among emitting ones.
     sizes = [1, 5, 7, 100, 811, 7169, 32768, 3, 98304, 14336, 0, 1616]
+    banks = []
     for seed in (112, 113, 114):
         rng = random.Random(seed)
         coeffs = [rng.getrandbits(32) % params.q for _ in range(256)]
-        bank = initialize(fake_seed(coeffs, params))
+        banks.append(initialize(fake_seed(coeffs, params)))
+    rng = random.Random(116)
+    regs = [rng.getrandbits(256) for _ in range(3)] + [rng.getrandbits(64) << 192]
+    banks.append(LfsrBank.from_state(params, regs=regs, mask=rng.getrandbits(params.mask_bits)))
+    for k, bank in enumerate(banks):
         ref = IntBank(bank.regs, bank.mask)
         i = 0
         while ref.steps < 20480:
             n = sizes[i % len(sizes)]
             got = bank.emit_bits(n)
-            assert got.size == n, (seed, i, n)
-            assert as_int(got) == int_emit(ref, n), (seed, i, n)
+            assert got.size == n, (k, i, n)
+            assert as_int(got) == int_emit(ref, n), (k, i, n)
             i += 1
         assert bank.regs == ref.regs
         assert bank.coeff_cursor == ref.coeff_cursor
@@ -334,7 +377,6 @@ def test_trace_record_and_format(params):
     v, w, trace = bank.step_trace()
     assert (v, w) == (0b1110, 4)
     assert trace == {"cursor": 0, "word": 1, "master": (1, 1, 1, 0)}
-    assert format_trace_line(trace) == "cursor=0 w=00000001 l4:c=1:o=1:peak=00000001:fb=0"
     # the record of every step, zero words included, equals int_step's
     rng = random.Random(115)
     regs = [rng.getrandbits(256) for _ in range(3)] + [rng.getrandbits(64) << 192]

@@ -55,6 +55,14 @@ def test_modulus_7681_is_accepted():
     Params(q=7681)
 
 
+def test_composite_modulus_without_root_rejected():
+    # 9 = 1 (mod 4) but -1 is no square mod 9, so no degree-2 transform
+    # exists; 65 = 5 * 13 has one (8^2 = -1 mod 65) and is accepted
+    with pytest.raises(InvalidModulus):
+        Params(q=9, degree=2)
+    assert Params(q=65, degree=2).psi == 8
+
+
 def test_oversized_modulus_rejected():
     with pytest.raises(InvalidModulus):
         Params(q=(1 << 33) + 513 * 512 + 1 - ((1 << 33) % 512))

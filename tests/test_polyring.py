@@ -226,11 +226,12 @@ def test_mat_vec_dimension_mismatch(toy_params):
     with pytest.raises(DimensionMismatch):
         pr.mat_vec_mul(mat, s, toy_params)
     # rows as wide as the vector but wider than n: 2^11 + 1 products near
-    # (q - 1)^2 would pass 2^63 and wrap silently
+    # (q - 1)^2 would pass 2^63 and wrap silently; the guard rejects on
+    # length alone, so zero polynomials stand in for such rows
     p = Params(q=67104769, n=1, m=1, degree=2)
-    rng = random.Random(25)
-    mat = [[near_max_hat(rng, p) for _ in range((1 << 11) + 1)]]
-    s = [near_max_hat(rng, p) for _ in range((1 << 11) + 1)]
+    zero = [0] * p.degree
+    mat = [[zero] * ((1 << 11) + 1)]
+    s = [zero] * ((1 << 11) + 1)
     with pytest.raises(DimensionMismatch):
         pr.mat_vec_mul(mat, s, p)
 

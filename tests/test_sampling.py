@@ -153,12 +153,13 @@ def test_reseed_derivation_distinct(ent_zero):
     assert derive_reseed_entropy(ent_zero, 1) == e1
 
 
-@pytest.mark.parametrize("which", ["params", "toy_params", "eta2", "eta3", "q26"])
+@pytest.mark.parametrize("which", ["params", "toy_params", "eta2", "eta3", "widest_q"])
 def test_samplers_match_sequential_reference(which, request):
-    # eta = 2 and 3 accept 5/8 and 7/8 of the 3-bit secret reads; q26 reads
-    # 25-bit fields through 32-bit reads, the widest read width q < 2^26 allows
+    # eta = 2 and 3 accept 5/8 and 7/8 of the 3-bit secret reads; widest_q
+    # reads 25-bit fields through 32-bit reads, the widest fields any
+    # admitted ring has (degree 16 admits q < 2^25)
     p = {"eta2": Params(eta=2), "eta3": Params(eta=3),
-         "q26": Params(q=33554273, degree=16)}.get(which)
+         "widest_q": Params(q=33554273, degree=16)}.get(which)
     if p is None:
         p = request.getfixturevalue(which)
     for tag in range(4000, 4006):
