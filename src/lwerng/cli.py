@@ -159,6 +159,9 @@ def _cmd_qkd(args) -> int:
         adversary=adversary,
         ent_eve=seed_of(args.eve_seed_hex) if adversary else None,
     )
+    if args.json:
+        print(session.to_json())
+        return 0
     print(session.summary())
     print("n,sift_fraction,qber,adversary")
     print(session.csv_row())
@@ -230,6 +233,8 @@ _COMMANDS = (
         ("--alice-seed-hex", dict(type=_seed_hex)),
         ("--bob-seed-hex", dict(type=_seed_hex)),
         ("--eve-seed-hex", dict(type=_seed_hex)),
+        ("--json", dict(action="store_true",
+                        help="print one JSON object of the session summary")),
     )),
     ("bench", "measure generation throughput", _cmd_bench, True, (
         ("--bytes", dict(type=_POSITIVE, default=100_000_000, dest="nbytes",

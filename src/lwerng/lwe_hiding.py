@@ -48,14 +48,29 @@ def hide(ent: EntropyInput, p: Params = None) -> HiddenSeed:
     s = sample_secret(ent, p)
     e = sample_error(ent, p, nonce=0)
     r = seed_payload(ent, p)
-    # lists of ints, as HiddenSeed documents: callers compare b with ==
-    b = _combine(polyring.mat_vec_mul(mat, s, p), e, r, p).tolist()
+    # lists of ints, as HiddenSeed documents: callers compare b with ==;
+    # e is reduced, so e - q in [-q, 0) keeps the sum in _combine's range
+    b = _combine(polyring.mat_vec_mul(mat, s, p), e - p.q, r, p).tolist()
     return HiddenSeed(b=b, params=p)
 
 
 def _combine(prod, e, r, p: Params) -> np.ndarray:
-    """prod + e + r*floor(q/2) mod q, elementwise over arrays of one shape."""
-    return (prod + e + r * (p.q // 2)) % p.q
+    """prod + e + r*floor(q/2) mod q, elementwise over int64 arrays of one shape.
+
+    The sum must lie in [-q, 2q), as it does for a reduced prod, r in {0, 1}
+    and e in [-q, q - floor(q/2)).  Two compare-and-adds reduce it: as
+    uint64 a negative x is above 2^63, so min(x, x + q) adds q to exactly
+    the negative entries and min(x, x - q) subtracts it from those >= q.
+    """
+    x = r * (p.q // 2)
+    x += prod
+    x += e
+    shifted = x + p.q
+    xu, su = x.view(np.uint64), shifted.view(np.uint64)
+    np.minimum(xu, su, out=xu)
+    np.subtract(x, p.q, out=shifted)
+    np.minimum(xu, su, out=xu)
+    return x
 
 
 # --- distinguishing experiment -------------------------------------------

@@ -20,8 +20,8 @@ class Params:
     """Lattice constants; construction raises if `validate` rejects them.
 
     Attributes:
-        q: coefficient modulus; must satisfy q odd, q = 1 (mod 2*degree),
-            q < 2^26 and degree * (q - 1) * floor(q/2) < 2^53.
+        q: coefficient modulus; must be an odd prime with q = 1
+            (mod 2*degree), q < 2^26 and degree * (q - 1) * floor(q/2) < 2^53.
         n: secret vector dimension (at most 2^11).
         m: sample vector dimension.
         degree: polynomial degree (power of two, at most 2^10).
@@ -58,18 +58,56 @@ class Params:
         """Smallest primitive 2*degree-th root of unity mod q.
 
         Defined as the smallest x in [2, q) with x^degree = -1 (mod q),
-        which forces x^(2*degree) = 1.  Derivation is a linear scan, cheap
-        for prime moduli where a root exists.
+        which forces x^(2*degree) = 1.
         """
         return _smallest_negacyclic_root(self.q, self.degree)
 
 
 @lru_cache(maxsize=None)
 def _smallest_negacyclic_root(q: int, degree: int) -> int:
-    for x in range(2, q):
-        if pow(x, degree, q) == q - 1:
-            return x
-    raise InvalidModulus(f"no element of order {2 * degree} mod {q}")
+    """The smallest x with x^degree = -1 (mod q), for prime q = 1 (mod 2*degree).
+
+    With degree a power of two, those x are the primitive 2*degree-th roots
+    of unity.  For prime q they are the odd powers z^k, k < 2*degree, of any
+    one of them, z = c^((q-1) / (2*degree)) for the first c with
+    z^degree = -1; so the smallest is found in degree multiplications.
+    """
+    for c in range(2, q):
+        z = pow(c, (q - 1) // (2 * degree), q)
+        if pow(z, degree, q) == q - 1:
+            break
+    else:
+        raise InvalidModulus(f"no element of order {2 * degree} mod {q}")
+    smallest, x, z2 = z, z, z * z % q
+    for _ in range(degree - 1):
+        x = x * z2 % q
+        smallest = min(smallest, x)
+    return smallest
+
+
+def _is_prime(q: int) -> bool:
+    """Miller-Rabin to bases 2, 3, 5 and 7, exact for q < 3215031751."""
+    if q < 2:
+        return False
+    bases = (2, 3, 5, 7)
+    if q in bases:
+        return True
+    if any(q % b == 0 for b in bases):
+        return False
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, q)
+        if x in (1, q - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @lru_cache(maxsize=1)
@@ -89,8 +127,8 @@ def validate(p: Params) -> None:
 
     Raises:
         InvalidModulus: q fails oddness, q = 1 (mod 2*degree), the bound
-            q < 2^26 or the transform bound above, or no 2*degree-th root
-            exists; or degree is not a power of two in [2, 2^10].
+            q < 2^26, primality or the transform bound above; or degree is
+            not a power of two in [2, 2^10].
         InconsistentLayout: n, m or eta is not positive, n > 2^11, or
             2*eta >= q.
     """
@@ -110,9 +148,9 @@ def validate(p: Params) -> None:
         raise InvalidModulus(
             f"q={p.q} at degree {p.degree} is too wide for one exact float64 transform"
         )
-    # deriving the root raises InvalidModulus when none exists, as for some
-    # composite q; an x with x^degree = -1 has order exactly 2*degree
-    p.psi
+    if not _is_prime(p.q):
+        # a prime q = 1 (mod 2*degree) has the 2*degree-th roots psi needs
+        raise InvalidModulus(f"q={p.q} is not prime")
     if p.n < 1 or p.m < 1 or p.eta < 1:
         raise InconsistentLayout("n, m and eta must be positive")
     if p.n > 1 << 11:

@@ -8,6 +8,7 @@ consumes her own stream the same way.  The channel is noiseless, so with no
 adversary the error rate over sifted positions is exactly zero.
 """
 
+import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -43,6 +44,14 @@ class QkdSession:
             f"sifted={self.sifted_alice.size} "
             f"sift_fraction={self.sift_fraction:.6f} qber={self.qber:.6f}"
         )
+
+    def to_json(self) -> str:
+        """The summary line's fields as one strict JSON object."""
+        return json.dumps({"photons": self.n_photons,
+                           "adversary": self.adversary or "none",
+                           "sifted": int(self.sifted_alice.size),
+                           "sift_fraction": self.sift_fraction,
+                           "qber": self.qber}, allow_nan=False)
 
     def csv_row(self) -> str:
         return (

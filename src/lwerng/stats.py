@@ -36,6 +36,20 @@ The serial correlation builds each 64-bit word's float64 as
 so the one add is correctly rounded and equals the uint64 -> float64 cast,
 ties to even included.
 
+The three chi-square p-values (block frequency, serial, byte chi-square)
+are Q(a, x), the regularized upper incomplete gamma function, with 2a the
+degrees of freedom, a positive integer, and x half the statistic.  For
+such a, Q(a, x) = P(Poisson(x) < a): the sum of the terms
+t_c = x^c e^-x / Gamma(c + 1) over c = a - 1, a - 2, ... >= 0, plus
+erfc(sqrt(x)) when a is a half-integer.  `_gammaincc` takes the largest
+term, the one with c nearest x, in Temme's form
+c * log1pmx((x - c) / c) - ln(2 pi c) / 2 - stirling(c), which avoids the
+cancellation in c ln x - x - lgamma(c + 1), and reaches the others by
+running products of the ratios x / c upward and c / x downward, cut off
+10 sqrt(x) + 40 terms either side of it, where the terms are below
+e^-50 of the largest.  Against `scipy.special.gammaincc` the p-values
+agree to a relative 1e-12 (tests/test_stats.py).
+
 The raw dump is a headerless byte file of the generator output, bit-exact
 under the LSB-first packing, suitable for `dieharder -g 201 -f <file>`.
 """
@@ -45,7 +59,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import InsufficientBits
 
@@ -144,7 +157,7 @@ def _block_frequency(c):
     # 4 M sum((k/M - 1/2)^2) = 4 sum((k - M/2)^2) / M, exact for M a power of two
     dev = int(((c.block_ones - BLOCK_BITS // 2) ** 2).sum())
     chi2 = 4.0 * dev / BLOCK_BITS
-    return chi2, float(gammaincc(c.block_ones.size / 2.0, chi2 / 2.0))
+    return chi2, _gammaincc(c.block_ones.size / 2.0, chi2 / 2.0)
 
 
 def _runs(c):
@@ -167,7 +180,7 @@ def _serial_2bit(c):
     psi2 = (4.0 / n) * float((c2**2).sum()) - n
     psi1 = (2.0 / n) * float((c1**2).sum()) - n
     delta = psi2 - psi1
-    return delta, float(gammaincc(1.0, delta / 2.0))
+    return delta, _gammaincc(1.0, delta / 2.0)
 
 
 def _byte_chi_square(data, nbits):
@@ -181,7 +194,7 @@ def _byte_chi_square(data, nbits):
         counts[raw[-1]] += 1
     expected = nbytes / 256.0
     chi2 = float(((counts - expected) ** 2 / expected).sum())
-    return chi2, float(gammaincc(255 / 2.0, chi2 / 2.0))
+    return chi2, _gammaincc(255 / 2.0, chi2 / 2.0)
 
 
 def _serial_corr_64(data, nbits):
@@ -200,6 +213,59 @@ def _serial_corr_64(data, nbits):
     sigma = math.sqrt(n * (n - 3.0) / ((n + 1.0) * (n - 1.0) ** 2))
     z = abs(r - mu) / sigma
     return r, math.erfc(z / math.sqrt(2))
+
+
+def _gammaincc(a: float, x: float) -> float:
+    """Q(a, x) for 2a a positive integer: P(chi-square with 2a degrees of
+    freedom > 2x).  The module docstring gives the method; x <= 0 gives 1.
+
+    Raises:
+        ValueError: 2a is not a positive integer.
+    """
+    if not (a > 0 and float(2 * a).is_integer()):
+        raise ValueError(f"a={a}: 2a must be a positive integer")
+    if x <= 0:
+        return 1.0
+    c_min = a % 1  # 0, or 1/2 for a half-integer: c runs over c_min + j, j < count
+    count = int(a - c_min)
+    q = math.erfc(math.sqrt(x)) if c_min else 0.0
+    if count == 0:
+        return q
+    j0 = min(max(round(x - c_min), 0), count - 1)
+    c0 = c_min + j0
+    span = int(10 * math.sqrt(x)) + 40
+    total = 1.0  # the terms over the largest one, t_(c0)
+    if j0:  # below it, t_(c-1) / t_c = c / x
+        total += float(np.cumprod(np.arange(c0, c0 - min(j0, span), -1.0) / x).sum())
+    if j0 < count - 1:  # above it, t_c / t_(c-1) = x / c
+        stop = c0 + 1 + min(count - 1 - j0, span)
+        total += float(np.cumprod(x / np.arange(c0 + 1, stop)).sum())
+    return q + math.exp(_log_poisson_term(c0, x)) * total
+
+
+def _log_poisson_term(c: float, x: float) -> float:
+    """ln(x^c e^-x / Gamma(c + 1)) for c >= 0 and x > 0."""
+    if c < 10:
+        return c * math.log(x) - x - math.lgamma(c + 1)
+    # lgamma(c + 1) = c ln c - c + ln(2 pi c) / 2 + stirling, and the
+    # asymptotic series for stirling is within 2e-14 from c = 10 on
+    r = 1.0 / (c * c)
+    stirling = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / c
+    return c * _log1pmx((x - c) / c) - 0.5 * math.log(2 * math.pi * c) - stirling
+
+
+def _log1pmx(u: float) -> float:
+    """ln(1 + u) - u, to a relative few ulp also where the two cancel."""
+    if abs(u) >= 0.5:
+        return math.log1p(u) - u
+    total, power, k = 0.0, u, 1
+    while True:  # the sum over k >= 2 of (-1)^(k+1) u^k / k
+        k += 1
+        power *= -u
+        term = power / k
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            return total
 
 
 @contextmanager

@@ -227,6 +227,32 @@ def test_qkd_demo_intercept(capsys):
     assert abs(qber - 0.25) < 0.01
 
 
+@pytest.mark.parametrize("adversary", ["none", "intercept"])
+def test_qkd_demo_json_agrees_with_text(adversary, capsys):
+    argv = ["qkd-demo", "--photons", "20000", "--adversary", adversary,
+            "--alice-seed-hex", SEED, "--bob-seed-hex", SEED2, "--eve-seed-hex", "22" * 32]
+    code, text, _ = run(argv, capsys)
+    json_code, out, _ = run(argv + ["--json"], capsys)
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    summary = json.loads(out, parse_constant=reject)
+    assert code == json_code == 0
+    assert list(summary) == ["photons", "adversary", "sifted", "sift_fraction", "qber"]
+    fields = dict(token.split("=") for token in text.splitlines()[0].split())
+    assert list(fields) == list(summary)
+    assert isinstance(summary["photons"], int) and isinstance(summary["sifted"], int)
+    assert fields["photons"] == str(summary["photons"]) == "20000"
+    assert fields["adversary"] == summary["adversary"] == (
+        "intercept_resend" if adversary == "intercept" else "none")
+    assert fields["sifted"] == str(summary["sifted"])
+    assert summary["sift_fraction"] == summary["sifted"] / 20000
+    assert fields["sift_fraction"] == f"{summary['sift_fraction']:.6f}"
+    assert fields["qber"] == f"{summary['qber']:.6f}"
+    assert (summary["qber"] == 0.0) == (adversary == "none")
+
+
 @pytest.mark.parametrize("bad", ["zz" * 32, "aabb"], ids=["not_hex", "short"])
 @pytest.mark.parametrize("party", ["alice", "bob", "eve"])
 def test_qkd_demo_bad_party_hex_exits_1(party, bad, capsys):

@@ -3,7 +3,13 @@ from dataclasses import fields
 import pytest
 
 from lwerng.errors import InconsistentLayout, InvalidModulus
-from lwerng.params import Params, default_params, validate
+from lwerng.params import (
+    Params,
+    _is_prime,
+    _smallest_negacyclic_root,
+    default_params,
+    validate,
+)
 
 
 def test_default_constants(params):
@@ -57,10 +63,43 @@ def test_modulus_7681_is_accepted():
 
 def test_composite_modulus_without_root_rejected():
     # 9 = 1 (mod 4) but -1 is no square mod 9, so no degree-2 transform
-    # exists; 65 = 5 * 13 has one (8^2 = -1 mod 65) and is accepted
-    with pytest.raises(InvalidModulus):
-        Params(q=9, degree=2)
-    assert Params(q=65, degree=2).psi == 8
+    # exists; 65 = 5 * 13 has one (8^2 = -1 mod 65) but is not prime;
+    # 25326001 = 2251 * 11251 = 1 (mod 16) passes Miller-Rabin to bases 2,
+    # 3 and 5, and base 7 rejects it
+    for q, degree in ((9, 2), (65, 2), (25326001, 8)):
+        with pytest.raises(InvalidModulus, match="not prime"):
+            Params(q=q, degree=degree)
+
+
+def _sieve(limit):
+    prime = [False, False] + [True] * (limit - 2)
+    for i in range(2, int(limit**0.5) + 1):
+        if prime[i]:
+            prime[i * i :: i] = [False] * len(prime[i * i :: i])
+    return prime
+
+
+def test_is_prime_matches_sieve_and_pseudoprimes():
+    prime = _sieve(1 << 16)
+    assert [q for q in range(1 << 16) if _is_prime(q)] == [
+        q for q in range(1 << 16) if prime[q]]
+    # strong pseudoprimes to bases 2; 2, 3; 2, 3, 5; Carmichael numbers
+    for q in (2047, 1373653, 25326001, 561, 41041, 62745):
+        assert not _is_prime(q)
+    for q in (8380417, 8383489, 67104769, 67118593, 3329, 7681):
+        assert _is_prime(q)
+
+
+def test_root_derivation_matches_scan():
+    # every prime ring below 2^13 at every admitted degree, and the named ones
+    prime = _sieve(1 << 13)
+    rings = [(q, d) for d in (2 ** k for k in range(1, 11))
+             for q in range(2 * d + 1, 1 << 13, 2 * d) if prime[q]]
+    rings += [(8380417, 256), (8383489, 256), (4188161, 1024), (16776961, 64),
+              (33554273, 16), (3329, 128)]
+    assert len(rings) > 900
+    for q, degree in rings:
+        assert _smallest_negacyclic_root(q, degree) == _scan_smallest_root(q, degree)
 
 
 def test_oversized_modulus_rejected():

@@ -1,16 +1,21 @@
 import hashlib
 import io
 
+import math
+
 import numpy as np
 import pytest
 from oracles import ref_battery
+from scipy.special import gammaincc
 
 from lwerng.errors import InsufficientBits
 from lwerng.sampling import EntropyInput
 from lwerng.stats import (
+    BLOCK_BITS,
     FAIL_P,
     WEAK_P,
     TestReport,
+    _gammaincc,
     dump_raw,
     run_battery,
     scatter_indexes,
@@ -99,8 +104,15 @@ def battery_buffers():
 
 
 def assert_battery_exact(data, nbits):
-    # TestReport equality is == on name, statistic, p-value and verdict
-    assert run_battery(data, nbits) == ref_battery(data, nbits)
+    # name, statistic and verdict are equal; the p-value is the in-house
+    # chi-square tail against the oracle's scipy one, so it agrees to a
+    # relative 1e-12, or both are below 1e-300
+    got, ref = run_battery(data, nbits), ref_battery(data, nbits)
+    assert [(r.test_name, r.statistic, r.verdict) for r in got] == [
+        (r.test_name, r.statistic, r.verdict) for r in ref]
+    for g, r in zip(got, ref):
+        assert (abs(g.p_value - r.p_value) <= 1e-12 * r.p_value
+                or max(g.p_value, r.p_value) < 1e-300), (g, r)
 
 
 @pytest.mark.parametrize("nbits", BATTERY_NBITS)
@@ -115,6 +127,53 @@ def test_battery_matches_reference(battery_buffers, nbits):
     if nbits < 2 * N_BITS:  # the 10^6 + k lengths already cross every boundary
         for fill in (0x00, 0xFF, 0x55, 0xAA):
             assert_battery_exact(bytes([fill]) * ((nbits + 7) // 8), nbits)
+
+
+# the battery's a values: serial (1), byte chi-square (255/2) and block
+# frequency at 1 Mbit (7812 blocks) and 4 Mbit (32768 blocks), and others
+# up to 2^17 including half-integers
+GAMMAINCC_A = [0.5, 1, 1.5, 2, 5.5, 10, 10.5, 30, 127.5, 1000, 1000.5,
+               N_BITS // BLOCK_BITS / 2, (1 << 22) // BLOCK_BITS / 2, 131072]
+
+
+@pytest.mark.parametrize("a", GAMMAINCC_A)
+def test_gammaincc_matches_scipy(a):
+    # x from a - 10 sqrt(a) to a + 40 sqrt(a) and toward 0, where Q >= 1e-30
+    s = math.sqrt(a)
+    xs = np.concatenate([np.linspace(max(a - 10 * s, 0.01), a + 40 * s, 101),
+                         [1e-9, 1e-3, 0.3, 0.5, 0.7, 1.0, 2.0, 9.5, 10.0, 10.5]])
+    checked = 0
+    for x in xs.tolist():
+        ref = float(gammaincc(a, x))
+        if ref >= 1e-30:
+            assert abs(_gammaincc(a, x) - ref) <= 1e-12 * ref, (a, x)
+            checked += 1
+    assert checked >= 40
+
+
+def test_gammaincc_closed_forms():
+    for x in (1e-12, 1e-3, 0.5, 1.0, 2.5, 10.0, 50.0, 300.0):
+        assert _gammaincc(1.0, x) == pytest.approx(math.exp(-x), rel=1e-14, abs=0)
+        assert _gammaincc(0.5, x) == pytest.approx(math.erfc(math.sqrt(x)), rel=1e-14, abs=0)
+        # Q(a + 1, x) = Q(a, x) + x^a e^-x / Gamma(a + 1)
+        assert _gammaincc(2.0, x) == pytest.approx((1 + x) * math.exp(-x), rel=1e-13, abs=0)
+    assert _gammaincc(127.5, 0.0) == _gammaincc(1, 0.0) == 1.0
+
+
+@pytest.mark.parametrize("a", [1, 10.5, 127.5, 3906, 16384])
+def test_gammaincc_monotone_in_x(a):
+    # non-increasing up to rounding: near Q = 1 the sum of the terms wobbles
+    # in its last few ulp, as the largest term moves from one c to the next
+    s = math.sqrt(a)
+    q = [_gammaincc(a, x) for x in np.linspace(max(a - 12 * s, 0.0), a + 12 * s, 1000)]
+    assert q[0] > 0.99 and q[-1] < 1e-5
+    assert all(hi * (1 + 1e-13) >= lo for hi, lo in zip(q, q[1:]))
+
+
+@pytest.mark.parametrize("a", [0, -1, -0.5, 0.25, 1.3, 127.25, float("nan"), float("inf")])
+def test_gammaincc_rejects_a_off_the_half_integers(a):
+    with pytest.raises(ValueError):
+        _gammaincc(a, 1.0)
 
 
 def test_report_line_format():
