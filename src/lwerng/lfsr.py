@@ -7,14 +7,17 @@ output is whitened by XOR against a 7168-bit cyclic mask.
 
 Normative rules this module fixes (stated here once, tests hold them):
 
-  * Initialization round 0 fills word 0 of L1..L4 with the designated
-    polynomial's coefficients 0..3.  Rounds r = 1..7 fill word r: compare
-    x12 = (word r-1 of L1) ^ (word r-1 of L2) against x34 likewise for
-    L3, L4 as unsigned ints.  x12 > x34 or a tie gives fill order
-    L1, L2, L3, L4; x34 > x12 gives L3, L4, L1, L2.  Coefficients
-    4r..4r+3 are handed out in ascending order; the fill order only selects
-    which register receives which coefficient.  Coefficients 32..255 become
-    the whitening mask.
+  * Initialization reads coefficient i of the designated polynomial, in
+    [0, q), as one 32-bit word: bit 32*i + j of the fill is bit j of
+    coefficient i.  Round 0 fills word 0 of L1..L4 with coefficients 0..3.
+    Rounds r = 1..7 fill word r: compare x12 = (word r-1 of L1) ^ (word r-1
+    of L2) against x34 likewise for L3, L4 as unsigned ints.  x12 > x34 or
+    a tie gives fill order L1, L2, L3, L4; x34 > x12 gives L3, L4, L1, L2.
+    Coefficients 4r..4r+3 are handed out in ascending order; the fill order
+    only selects which register receives which coefficient.  Coefficients
+    32..degree-1 are the whitening mask, so mask bit 32*(i-32) + j is bit j
+    of coefficient i: (degree - 32) * 32 bits, 7168 at degree 256.  A ring
+    of degree 32 or less leaves no mask word and raises DegenerateState.
   * One step reads the governing word w once and walks its set bits at
     1-based positions p in ascending order.  For each: slaves shift p bits;
     the ejected low bits l1o/l2o/l3o join the raw output in that order;
@@ -69,13 +72,14 @@ import numpy as np
 from .errors import DegenerateState
 from .lwe_hiding import HiddenSeed
 from .params import Params, default_params
-from .polyring import serialize
 
 _M32 = 0xFFFFFFFF
-_REG_BITS = Params.lfsr_bits
+_WORD_BITS = 32  # one coefficient's word in the fill
+_REGS = 4
+_REG_BITS = 256
 _REG_MASK = (1 << _REG_BITS) - 1
-_WORD_BITS = Params.word_bits
-_CURSORS = _REG_BITS // _WORD_BITS
+_CURSORS = _REG_BITS // _WORD_BITS  # words per register
+_FILL_WORDS = _REGS * _CURSORS  # coefficients 0..31 fill the registers
 # A step record is three slots, one per slave, then the governing word.  A
 # slot holds the S <= 528 bits the slave popped; the first slot then holds the
 # master's c <= 32 ejected bits, so the master's run is one more segment.
@@ -174,9 +178,15 @@ def _gather(records: bytes) -> np.ndarray:
     return bits[idx]
 
 
-def _require_mask_words(p: Params) -> None:
-    if p.mask_bits <= 0:
+def _mask_width(p: Params) -> int:
+    """Bits of whitening mask the designated polynomial leaves: (degree - 32) * 32.
+
+    Raises DegenerateState if it leaves none (degree <= 32).
+    """
+    width = (p.degree - _FILL_WORDS) * _WORD_BITS
+    if width <= 0:
         raise DegenerateState("polynomial leaves no words for the whitening mask")
+    return width
 
 
 class LfsrBank:
@@ -189,27 +199,29 @@ class LfsrBank:
         Raises ValueError on state the machine cannot hold: other than four
         registers, or a register, the mask or a cursor outside its width.
         """
-        _require_mask_words(params)
+        mask_bits = _mask_width(params)
         regs = list(regs)
-        if len(regs) != Params.lfsr_count:
-            raise ValueError(f"{len(regs)} registers, not {Params.lfsr_count}")
+        if len(regs) != _REGS:
+            raise ValueError(f"{len(regs)} registers, not {_REGS}")
         if not all(0 <= r <= _REG_MASK for r in regs):
             raise ValueError(f"registers must lie in [0, 2^{_REG_BITS})")
-        if not 0 <= mask < 1 << params.mask_bits:
-            raise ValueError(f"mask must lie in [0, 2^{params.mask_bits})")
+        if not 0 <= mask < 1 << mask_bits:
+            raise ValueError(f"mask must lie in [0, 2^{mask_bits})")
         if not 0 <= coeff_cursor < _CURSORS:
             raise ValueError(f"coeff_cursor={coeff_cursor} is not in [0, {_CURSORS})")
-        if not 0 <= mask_cursor < params.mask_bits:
-            raise ValueError(f"mask_cursor={mask_cursor} is not in [0, {params.mask_bits})")
+        if not 0 <= mask_cursor < mask_bits:
+            raise ValueError(f"mask_cursor={mask_cursor} is not in [0, {mask_bits})")
         self.params = params
+        self.mask_bits = mask_bits
         self.regs = regs
         self.mask = mask
         self.coeff_cursor = coeff_cursor
         self.mask_cursor = mask_cursor
         # whitened bits stepped out but not yet read, one uint8 per bit
         self._buf = np.empty(0, np.uint8)
-        self._mask_bits = np.unpackbits(
-            np.frombuffer(mask.to_bytes(params.mask_bits // 8, "little"), np.uint8),
+        # the mask as one uint8 per bit, mask bit 0 first
+        self._mask_unpacked = np.unpackbits(
+            np.frombuffer(mask.to_bytes(mask_bits // 8, "little"), np.uint8),
             bitorder="little")
 
     # -- construction ------------------------------------------------------
@@ -319,9 +331,9 @@ class LfsrBank:
             # advance the cursor, and int_emit does not
             raw = _gather(self._walk(nbits - buf.size))
             c = self.mask_cursor
-            reps = -(-(c + raw.size) // self._mask_bits.size)
-            raw ^= np.concatenate((self._mask_bits,) * reps)[c:c + raw.size]
-            self.mask_cursor = (c + raw.size) % self.params.mask_bits
+            reps = -(-(c + raw.size) // self.mask_bits)
+            raw ^= np.concatenate((self._mask_unpacked,) * reps)[c:c + raw.size]
+            self.mask_cursor = (c + raw.size) % self.mask_bits
             buf = np.concatenate((buf, raw)) if buf.size else raw
             self._buf = buf
         if buf.size < nbits:
@@ -335,31 +347,37 @@ def initialize(hs: HiddenSeed) -> LfsrBank:
     """Fill the bank from the designated polynomial (index 0) of the hidden seed.
 
     Consumes coefficients 0..31 as register words under the master-monitored
-    schedule and 32..255 as the whitening mask.  A polynomial that leaves no
-    mask words, or a bank whose master register is zero (which could never
-    emit), is rejected.
+    schedule and the rest as the whitening mask (rule 1 above).
+
+    Raises DegenerateState if the polynomial leaves no mask words or the
+    master register fills with zeros (it could never emit); ValueError
+    unless the polynomial is exactly degree coefficients in [0, q).
     """
     p = hs.params
-    _require_mask_words(p)  # before the fill: a shorter polynomial cannot fill it
+    _mask_width(p)  # before the fill: a shorter polynomial cannot fill it
     coeffs = hs.b[0]
-    words_per_reg = p.lfsr_bits // p.word_bits
+    try:
+        words = np.array(coeffs, "<u4")
+        valid = words.shape == (p.degree,) and words.max() < p.q
+    except OverflowError:  # a coefficient below 0 or above 2^32 - 1
+        valid = False
+    if not valid:
+        raise ValueError(
+            f"designated polynomial must be {p.degree} coefficients in [0, {p.q})")
 
     # coefficient index of each register word, round by round
-    fill = [[reg] for reg in range(4)]
-    for rnd in range(1, words_per_reg):
+    fill = [[reg] for reg in range(_REGS)]
+    for rnd in range(1, _CURSORS):
         x12 = coeffs[fill[0][-1]] ^ coeffs[fill[1][-1]]
         x34 = coeffs[fill[2][-1]] ^ coeffs[fill[3][-1]]
         order = (2, 3, 0, 1) if x34 > x12 else (0, 1, 2, 3)
         for k, reg in enumerate(order):
             fill[reg].append(4 * rnd + k)
 
-    # register words and mask are read from the normative serialization
-    raw = serialize(coeffs, p)
-    regs = [int.from_bytes(b"".join(raw[4 * i:4 * i + 4] for i in idx), "little")
-            for idx in fill]
-    mask = int.from_bytes(raw[p.state_bits // 8:], "little")
+    # words[fill] is the (4, 8) array of register words, word 0 first
+    regs = [int.from_bytes(row.tobytes(), "little") for row in words[fill]]
+    mask = int.from_bytes(words[_FILL_WORDS:].tobytes(), "little")
 
     if regs[3] == 0:
         raise DegenerateState("master register filled with all zeros")
     return LfsrBank(p, regs, mask)
-

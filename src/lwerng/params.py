@@ -2,15 +2,13 @@
 
 A parameter set names only the lattice: q, n, m, degree and eta.  The default
 is q = 8380417, m = n = 4, degree-256 polynomials.  The register machine's
-layout is fixed: 32-bit coefficient words and 4 registers of 256 bits fill
-1024 state bits, and the rest of the designated polynomial's serialized bits
-(7168 at degree 256) are the whitening mask.  Every `Params` is validated
-when it is built.
+layout (coefficient words, registers, whitening mask) is its own, in `lfsr`;
+it needs degree > 32, so smaller rings serve the ring arithmetic only.  Every
+`Params` is validated when it is built.
 """
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import ClassVar
 
 from .errors import InconsistentLayout, InvalidModulus
 
@@ -35,23 +33,8 @@ class Params:
     degree: int = 256
     eta: int = 1
 
-    # fixed by the register machine and the serialization, not configurable
-    word_bits: ClassVar[int] = 32  # serialized width of one coefficient
-    lfsr_count: ClassVar[int] = 4  # number of shift registers
-    lfsr_bits: ClassVar[int] = 256  # width of one register
-    state_bits: ClassVar[int] = 1024  # register-fill bits: lfsr_count * lfsr_bits
-
     def __post_init__(self):
         validate(self)
-
-    @cached_property
-    def mask_bits(self) -> int:
-        """Serialized bits of the designated polynomial left for the mask.
-
-        Zero or negative when the polynomial is too short to fill the
-        registers; `initialize` rejects such a set.
-        """
-        return self.degree * self.word_bits - self.state_bits
 
     @cached_property
     def psi(self) -> int:

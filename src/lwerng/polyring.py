@@ -10,14 +10,10 @@ product is exact for every input below q in absolute value because
 `validate` admits only rings with degree * (q - 1) * floor(q/2) < 2^53 (see
 `ntt`).  In int64 a product of two reduced coefficients is below 2^52, and
 since `validate` bounds n by 2^11, the unreduced row sums of `mat_vec_mul`
-stay below 2^63.
-
-Serialization is normative and bit-exact: word i of the output is
-coefficient i, packed as a 32-bit little-endian word, so bit 32*i+j of the
-string is bit j of coefficient i.
+stay below 2^63.  How the register machine reads a polynomial's bits is
+`lfsr`'s rule, not the ring's.
 """
 
-import struct
 from functools import lru_cache
 
 import numpy as np
@@ -110,9 +106,3 @@ def mat_vec_mul(mat, vec, p: Params) -> np.ndarray:
             acc += ntt(a, p) * s_hat
         out[i] = inv_ntt(acc % p.q, p)
     return out
-
-
-def serialize(a, p: Params) -> bytes:
-    """Pack the polynomial into degree 32-bit little-endian words."""
-    return struct.pack("<%dI" % p.degree, *a)
-

@@ -1,7 +1,7 @@
 """Top-level byte stream: entropy input -> seed concealment -> register bank.
 
 Bytes pack the whitened bit stream LSB-first (stream bit 0 is bit 0 of byte
-0), the same convention as the polynomial serialization.
+0), the same convention as the register fill (`lfsr` rule 1).
 
 Reseeding: after `reseed_interval` emitted bits the generator derives fresh
 entropy from the original input and the epoch counter (domain label 0x04)

@@ -167,11 +167,6 @@ def _vec_sum(polys, q):
     return out
 
 
-def deserialize(raw):
-    """Coefficients of a serialized polynomial: word i is bytes 4i..4i+3, little-endian."""
-    return [int.from_bytes(raw[i:i + 4], "little") for i in range(0, len(raw), 4)]
-
-
 def hide_oracle(mat, s, e, r, q):
     """b = A*s + e + r*floor(q/2), all by nested loops."""
     prod = loop_mat_vec(mat, s, q)

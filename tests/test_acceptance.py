@@ -151,13 +151,12 @@ def test_criterion_06_bit_budget():
     hs = hide(ENT, p)
     bank = initialize(hs)
     identities = (
-        p.degree * p.word_bits == 8192
-        and p.state_bits == 1024
-        and p.mask_bits == 7168
-        and p.state_bits + p.mask_bits == 8192
-        and p.lfsr_count * p.lfsr_bits == p.state_bits
-        and all(r < (1 << p.lfsr_bits) for r in bank.regs)
-        and bank.mask < (1 << p.mask_bits)
+        p.degree * 32 == 8192
+        and len(bank.regs) * 256 == 1024
+        and bank.mask_bits == 7168
+        and len(bank.regs) * 256 + bank.mask_bits == 8192
+        and all(r < (1 << 256) for r in bank.regs)
+        and bank.mask < (1 << bank.mask_bits)
     )
     # the registers hold exactly coefficients 0..31, the mask exactly 32..255
     fill_words = sorted(

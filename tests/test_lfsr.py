@@ -9,6 +9,7 @@ from lwerng.lwe_hiding import HiddenSeed, hide
 from lwerng.params import Params
 
 from oracles import (
+    MASK_BITS,
     IntBank,
     bits_to_int,
     int_emit,
@@ -74,7 +75,7 @@ def test_initialize_matches_reference_at_other_geometries(p):
         if trial == 0:
             coeffs = [p.q - 1] * p.degree
         bank = initialize(fake_seed(coeffs, p))
-        oracle_regs, oracle_mask = ref_initialize(coeffs, p.mask_bits)
+        oracle_regs, oracle_mask = ref_initialize(coeffs, bank.mask_bits)
         assert bank.regs == regs_from_oracle(oracle_regs)
         assert bank.mask == bits_to_int(oracle_mask)
 
@@ -120,9 +121,39 @@ def test_no_mask_words_rejected():
     p = Params(q=193, degree=32)
     with pytest.raises(DegenerateState):
         initialize(fake_seed(range(1, 33), p))
-    assert p.mask_bits == 0
     with pytest.raises(DegenerateState):
         initialize(fake_seed(range(1, 17), Params(q=97, degree=16)))
+
+
+@pytest.mark.parametrize("coeffs", [
+    list(range(1, 256)),
+    list(range(1, 258)),
+    list(range(1, 11)),
+    [-1] + list(range(1, 256)),
+    [8380417] + list(range(1, 256)),
+    [1 << 32] + list(range(1, 256)),
+], ids=["short", "long", "ten", "negative", "q", "two_to_32"])
+def test_initialize_rejects_malformed_polynomial(params, coeffs):
+    # a public HiddenSeed may carry any list; only degree coefficients in
+    # [0, q) are a designated polynomial
+    with pytest.raises(ValueError):
+        initialize(fake_seed(coeffs, params))
+
+
+def test_fill_bit_layout(params):
+    # rule 1: bit 32*i + j of the fill is bit j of coefficient i, so mask bit
+    # 32*(i - 32) + j is bit j of coefficient i
+    rng = random.Random(117)
+    coeffs = [rng.randrange(1, params.q) for _ in range(256)]
+    bank = initialize(fake_seed(coeffs, params))
+    for i, j in [(32, 0), (32, 22), (33, 0), (100, 7), (255, 22), (255, 31)]:
+        assert bank.mask >> (32 * (i - 32) + j) & 1 == coeffs[i] >> j & 1
+    coeffs = [1] * 32 + [0] * 224
+    coeffs[35] = 0x0102
+    bank = initialize(fake_seed(coeffs, params))
+    assert bank.mask == 0x0102 << 96
+    # register words hold coefficients whole: word 0 of L1 is coefficient 0
+    assert bank.regs[0] & 0xFFFFFFFF == 1 and bank.regs[0] >> 32 & 0xFFFFFFFF == 1
 
 
 def test_injected_state_without_mask_words_rejected():
@@ -328,7 +359,7 @@ def test_emit_matches_int_emit_long(params):
         banks.append(initialize(fake_seed(coeffs, params)))
     rng = random.Random(116)
     regs = [rng.getrandbits(256) for _ in range(3)] + [rng.getrandbits(64) << 192]
-    banks.append(LfsrBank.from_state(params, regs=regs, mask=rng.getrandbits(params.mask_bits)))
+    banks.append(LfsrBank.from_state(params, regs=regs, mask=rng.getrandbits(MASK_BITS)))
     for k, bank in enumerate(banks):
         ref = IntBank(bank.regs, bank.mask)
         i = 0
@@ -348,7 +379,7 @@ def test_degenerate_inside_one_emit(params):
     # request; a later read gets exactly the bits stepped out before that
     rng = random.Random(19)
     state = dict(regs=[rng.getrandbits(256) for _ in range(3)] + [0b101],
-                 mask=rng.getrandbits(params.mask_bits))
+                 mask=rng.getrandbits(MASK_BITS))
     bank = LfsrBank.from_state(params, **state)
     ref = IntBank(**state)
     with pytest.raises(DegenerateState):
@@ -368,8 +399,8 @@ def test_mask_cursor_wraps(params):
     rng = random.Random(109)
     coeffs = [rng.getrandbits(32) % params.q for _ in range(256)]
     bank = initialize(fake_seed(coeffs, params))
-    bank.emit_bits(2 * params.mask_bits + 5)
-    assert 0 <= bank.mask_cursor < params.mask_bits
+    bank.emit_bits(2 * MASK_BITS + 5)
+    assert 0 <= bank.mask_cursor < MASK_BITS
 
 
 def test_trace_record_and_format(params):
@@ -394,7 +425,7 @@ def test_initialize_from_real_hide(ent_zero, params):
     bank = initialize(hide(ent_zero, params))
     total_reg_bits = sum(r.bit_length() for r in bank.regs)
     assert 0 < total_reg_bits <= 4 * 256
-    assert bank.mask.bit_length() <= params.mask_bits
+    assert bank.mask.bit_length() <= MASK_BITS
 
 
 def test_identical_seed_identical_stream_prefix(ent_zero, params):

