@@ -1,6 +1,6 @@
-"""lwerng: a pseudorandom bit generator whose seed is concealed under a
-lattice sample (b = A*s + e + r*floor(q/2)) and expanded by a four-register
-master/slave LFSR machine with mask whitening."""
+"""lwerng: a pseudorandom bit generator whose seed is concealed under the
+designated row of a lattice sample (b = A[0]*s + e_0 + r_0*floor(q/2)) and
+expanded by a four-register master/slave LFSR machine with mask whitening."""
 
 from .errors import (
     DegenerateState,

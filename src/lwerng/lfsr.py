@@ -344,7 +344,7 @@ class LfsrBank:
 
 
 def initialize(hs: HiddenSeed) -> LfsrBank:
-    """Fill the bank from the designated polynomial (index 0) of the hidden seed.
+    """Fill the bank from the designated polynomial, the hidden seed's b.
 
     Consumes coefficients 0..31 as register words under the master-monitored
     schedule and the rest as the whitening mask (rule 1 above).
@@ -355,7 +355,7 @@ def initialize(hs: HiddenSeed) -> LfsrBank:
     """
     p = hs.params
     _mask_width(p)  # before the fill: a shorter polynomial cannot fill it
-    coeffs = hs.b[0]
+    coeffs = hs.b
     try:
         words = np.array(coeffs, "<u4")
         valid = words.shape == (p.degree,) and words.max() < p.q

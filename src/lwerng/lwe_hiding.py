@@ -1,14 +1,16 @@
-"""Seed concealment: b = A*s + e + r*floor(q/2) over R_q^m, and an empirical
-distinguishing experiment between concealed and uniform samples, with the
-uniform-against-uniform run as its null.
+"""Seed concealment: the designated row b = sum_j A[0][j]*s_j + e_0 +
+r_0*floor(q/2) of the sample A*s + e + r*floor(q/2) over R_q^m, the only row
+the register machine reads and so the only one drawn (m sets just the
+experiment's sample width); and an empirical distinguishing experiment
+between concealed and uniform samples, with uniform against uniform as its null.
 
-One ring serves all of it: `polyring`'s transforms run on a single ring
-element for `hide` and on whole chunks of trials for the experiment, and
-`_combine` adds error and payload to either.
+One ring serves all of it: `polyring`'s transforms run on the designated
+row's stacked entries for `hide` and on whole chunks of trials for the
+experiment, and `_combine` adds error and payload to either.
 
-The payload bits r are recoverable only with the secret.  `hide` discards
-A, s, e and r and returns only b; anyone holding the entropy input can
-redraw them with the public samplers, since `hide` is defined by them.
+The payload bits r_0 are recoverable only with the secret.  `hide` discards
+A[0], s, e_0 and r_0 and returns only b; anyone holding the entropy input
+can redraw them with the public samplers, since `hide` is defined by them.
 """
 
 import json
@@ -30,28 +32,27 @@ from .sampling import (
 
 @dataclass
 class HiddenSeed:
-    """The concealed seed b (m ring elements, each a list of ints) and the
-    parameter set used."""
+    """The concealed seed b, the designated polynomial as a list of degree
+    ints, and the parameter set used."""
 
     b: list
     params: Params
 
 
 def hide(ent: EntropyInput, p: Params = None) -> HiddenSeed:
-    """Conceal the payload derived from `ent` under the lattice sample.
+    """Conceal the payload derived from `ent` under the designated sample.
 
-    Deterministic in `ent`: matrix, secret, error (nonce 0) and payload all
-    expand from it under their domain labels.
+    Deterministic in `ent`: matrix row 0, secret, error (nonce 0) and payload
+    expand from it under their domain labels.  Row 0 of the error and the
+    payload is a prefix of its stream, so b does not depend on m.
     """
     p = p or default_params()
-    mat = expand_matrix(ent, p)
-    s = sample_secret(ent, p)
-    e = sample_error(ent, p, nonce=0)
-    r = seed_payload(ent, p)
-    # lists of ints, as HiddenSeed documents: callers compare b with ==;
+    prod = polyring.mat_vec_mul(expand_matrix(ent, p), sample_secret(ent, p), p)[0]
+    e = sample_error(ent, p, nonce=0)[0]
+    r = seed_payload(ent, p)[0]
+    # a list of ints, as HiddenSeed documents: callers compare b with ==;
     # e is reduced, so e - q in [-q, 0) keeps the sum in _combine's range
-    b = _combine(polyring.mat_vec_mul(mat, s, p), e - p.q, r, p).tolist()
-    return HiddenSeed(b=b, params=p)
+    return HiddenSeed(b=_combine(prod, e - p.q, r, p).tolist(), params=p)
 
 
 def _combine(prod, e, r, p: Params) -> np.ndarray:

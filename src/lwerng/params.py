@@ -21,7 +21,9 @@ class Params:
         q: coefficient modulus; must be an odd prime with q = 1
             (mod 2*degree), q < 2^26 and degree * (q - 1) * floor(q/2) < 2^53.
         n: secret vector dimension (at most 2^11).
-        m: sample vector dimension.
+        m: sample width, in ring elements, of the distinguishing
+            experiment; `hide` conceals only the designated row, so the
+            stream does not depend on m.
         degree: polynomial degree (power of two, at most 2^10).
         eta: bound of the secret/error coefficients (support {-eta..eta});
             must satisfy 2*eta < q.

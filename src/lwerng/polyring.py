@@ -2,16 +2,16 @@
 
 This is the package's one ring.  A polynomial is the last axis of an int64
 array, so an array of shape (..., degree) holds any batch of polynomials:
-one ring element in `hide`, a whole chunk of trials in the distinguishing
-experiment.  Every coefficient is reduced into [0, q).  Multiplication runs
-through the negacyclic number-theoretic transform, applied as one dense
-degree x degree float64 matrix product over all leading axes at once.  That
-product is exact for every input below q in absolute value because
-`validate` admits only rings with degree * (q - 1) * floor(q/2) < 2^53 (see
-`ntt`).  In int64 a product of two reduced coefficients is below 2^52, and
-since `validate` bounds n by 2^11, the unreduced row sums of `mat_vec_mul`
-stay below 2^63.  How the register machine reads a polynomial's bits is
-`lfsr`'s rule, not the ring's.
+the designated row's matrix entries and the secret, stacked, in `hide`; a
+whole chunk of trials in the distinguishing experiment.  Every coefficient
+is reduced into [0, q).  Multiplication runs through the negacyclic
+number-theoretic transform, applied as one dense degree x degree float64
+matrix product over all leading axes at once.  That product is exact for
+every input below q in absolute value because `validate` admits only rings
+with degree * (q - 1) * floor(q/2) < 2^53 (see `ntt`).  In int64 a product
+of two reduced coefficients is below 2^52, and since `validate` bounds n by
+2^11, the unreduced row sums of `mat_vec_mul` stay below 2^63.  How the
+register machine reads a polynomial's bits is `lfsr`'s rule, not the ring's.
 """
 
 from functools import lru_cache
@@ -87,22 +87,17 @@ def inv_ntt(a, p: Params) -> np.ndarray:
 def mat_vec_mul(mat, vec, p: Params) -> np.ndarray:
     """Matrix-vector product over R_q: entry i is sum_j mat[i][j] * vec[j].
 
-    One transform per input polynomial and one inverse per output row.  The
-    transform-domain products of a row are summed unreduced, with one
-    reduction per row: a row of n <= 2^11 products stays below 2^63, so the
-    vector and every row must be exactly n wide.
-    Returns an (m, degree) array.
+    One forward transform over every matrix entry and vector polynomial,
+    stacked; each row's transform-domain products summed unreduced with one
+    reduction per row; one inverse over all rows.  A row of n <= 2^11
+    products stays below 2^63, so the vector and every row must be exactly
+    n wide.  Returns an (m, degree) array.
     """
     if len(vec) != p.n or any(len(row) != p.n for row in mat):
         raise DimensionMismatch(
             f"matrix rows of width {[len(r) for r in mat]} and vector of {len(vec)}, "
             f"not n={p.n}"
         )
-    vec_hat = [ntt(s, p) for s in vec]
-    out = np.zeros((len(mat), p.degree), dtype=np.int64)
-    for i, row in enumerate(mat):
-        acc = np.zeros(p.degree, dtype=np.int64)
-        for a, s_hat in zip(row, vec_hat):
-            acc += ntt(a, p) * s_hat
-        out[i] = inv_ntt(acc % p.q, p)
-    return out
+    hat = ntt(np.concatenate([np.reshape(x, (-1, p.degree)) for x in (mat, vec)]), p)
+    mat_hat = hat[:-p.n].reshape(len(mat), p.n, p.degree)
+    return inv_ntt((mat_hat * hat[-p.n:]).sum(axis=1) % p.q, p)

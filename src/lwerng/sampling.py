@@ -3,7 +3,7 @@ input, a single-byte domain label and (for errors) a nonce.
 
 Domain label table (normative):
 
-    0x00 || i || j   public matrix entry (i, j)
+    0x00 || i || j   public matrix entry (i, j); only row i = 0 is drawn
     0x01             secret vector
     0x02 || nonce    error vector, nonce as 2-byte big-endian counter
     0x03             binary payload (the concealed seed bits)
@@ -84,17 +84,18 @@ def _accepted(xofs, width: int, keep: int, bound: int, need: int) -> np.ndarray:
 
 
 def expand_matrix(ent: EntropyInput, p: Params = None) -> np.ndarray:
-    """Expand the public m x n matrix of uniform ring elements, (m, n, degree).
+    """Expand row 0 of the public matrix, the designated row, as (1, n, degree).
 
-    Each coefficient comes from the entry's own stream by reading
+    `hide` conceals only the designated sample, so rows 1..m-1 are never
+    drawn.  Each coefficient comes from the entry's own stream by reading
     ceil(bitlen(q)/8) bytes little-endian, masking to bitlen(q) bits and
     rejecting values >= q (acceptance ~ q / 2^bitlen).
     """
     p = p or default_params()
     bits = p.q.bit_length()
-    xofs = [_xof(ent, bytes([LABEL_MATRIX, i, j])) for i in range(p.m) for j in range(p.n)]
+    xofs = [_xof(ent, bytes([LABEL_MATRIX, 0, j])) for j in range(p.n)]
     coeffs = _accepted(xofs, 8 * ((bits + 7) // 8), bits, p.q, p.degree)
-    return coeffs.reshape(p.m, p.n, p.degree)
+    return coeffs.reshape(1, p.n, p.degree)
 
 
 def sample_secret(ent: EntropyInput, p: Params = None) -> np.ndarray:

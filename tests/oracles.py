@@ -167,20 +167,19 @@ def _vec_sum(polys, q):
     return out
 
 
-def hide_oracle(mat, s, e, r, q):
-    """b = A*s + e + r*floor(q/2), all by nested loops."""
-    prod = loop_mat_vec(mat, s, q)
+def hide_oracle(a, s, e, r, q):
+    """The designated sample b = sum_j a[j]*s[j] + e + r*floor(q/2), all by
+    nested loops; a is matrix row 0, e and r its error and payload rows."""
+    prod = loop_mat_vec([a], s, q)[0]
     half = q // 2
-    return [
-        [(pi + ei + ri * half) % q for pi, ei, ri in zip(prow, erow, rrow)]
-        for prow, erow, rrow in zip(prod, e, r)
-    ]
+    return [(pi + ei + ri * half) % q for pi, ei, ri in zip(prod, e, r)]
 
 
 def hide_transcript(ent, p):
-    """(A, s, e, r) of `hide(ent, p)` as lists, redrawn with the public samplers."""
-    return tuple(x.tolist() for x in (expand_matrix(ent, p), sample_secret(ent, p),
-                                      sample_error(ent, p, nonce=0), seed_payload(ent, p)))
+    """(A[0], s, e_0, r_0) of `hide(ent, p)` as lists, redrawn with the public
+    samplers: matrix row 0, the secret, and row 0 of the error and payload."""
+    return (expand_matrix(ent, p)[0].tolist(), sample_secret(ent, p).tolist(),
+            sample_error(ent, p, nonce=0)[0].tolist(), seed_payload(ent, p)[0].tolist())
 
 
 # --- distinguisher oracle ----------------------------------------------------

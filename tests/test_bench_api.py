@@ -8,6 +8,7 @@ that costs nothing.
 """
 
 import importlib
+import sys
 
 import lwerng
 
@@ -26,6 +27,27 @@ def test_traced_functions_exist():
         assert callable(getattr(importlib.import_module(f"lwerng.{module}"), name)), name
     assert "emit_bits" in vars(lwerng.LfsrBank)
     assert "next_bytes" in vars(lwerng.Generator)
+
+
+def test_hide_reaches_the_traced_ring_and_matrix(monkeypatch):
+    # wrapped as the tracer wraps them, in every lwerng module that binds
+    # them: a hide that went round one would leave its span or count at 0
+    reached = set()
+    modules = [m for k, m in sys.modules.items() if k == "lwerng" or k.startswith("lwerng.")]
+    for module, name in [("sampling", "expand_matrix"), ("polyring", "mat_vec_mul"),
+                         ("polyring", "ntt"), ("polyring", "inv_ntt")]:
+        orig = getattr(importlib.import_module(f"lwerng.{module}"), name)
+
+        def wrapped(*args, _orig=orig, _name=name, **kwargs):
+            reached.add(_name)
+            return _orig(*args, **kwargs)
+
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, key, wrapped)
+    lwerng.hide(lwerng.EntropyInput(bytes(32)), lwerng.default_params())
+    assert reached == {"expand_matrix", "mat_vec_mul", "ntt", "inv_ntt"}
 
 
 def test_step_probe_from_injected_state():

@@ -23,8 +23,7 @@ from oracles import (
 
 def fake_seed(coeffs, params):
     """HiddenSeed wrapper around explicit designated-polynomial coefficients."""
-    filler = [0] * params.degree
-    return HiddenSeed(b=[list(coeffs)] + [filler] * (params.m - 1), params=params)
+    return HiddenSeed(b=list(coeffs), params=params)
 
 
 def regs_from_oracle(oracle_regs):

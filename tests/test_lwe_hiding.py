@@ -24,38 +24,47 @@ def test_hide_deterministic_1000_calls(ent_zero, params):
         assert hide(ent_zero, params).b == first
 
 
-def test_designated_polynomial_serializes_to_8192_bits(ent_zero, params):
+def test_designated_polynomial_fills_8192_bits(ent_zero, params):
     # the fill reads each of the 256 coefficients, all below q < 2^32, as one
     # 32-bit word: 4 x 256 register bits and the rest the whitening mask
     hs = hide(ent_zero, params)
-    assert len(hs.b[0]) == 256 and all(0 <= c < params.q for c in hs.b[0])
+    assert len(hs.b) == 256 and all(0 <= c < params.q for c in hs.b)
     assert 256 * 32 == 4 * 256 + initialize(hs).mask_bits == 8192
+
+
+def test_concealment_does_not_depend_on_m():
+    # only the designated row is drawn, and its error and payload are the
+    # prefixes of their streams
+    for tag in range(5):
+        ent = fixed_ent(tag)
+        b = hide(ent, Params(m=1)).b
+        assert hide(ent, Params(m=4)).b == b
+        assert hide(ent, Params(m=8)).b == b
 
 
 def test_toy_hide_matches_schoolbook_oracle(toy_params):
     for tag in range(20):
         hs = hide(fixed_ent(tag), toy_params)
-        mat, s, e, r = hide_transcript(fixed_ent(tag), toy_params)
-        assert hs.b == hide_oracle(mat, s, e, r, toy_params.q)
+        a, s, e, r = hide_transcript(fixed_ent(tag), toy_params)
+        assert hs.b == hide_oracle(a, s, e, r, toy_params.q)
 
 
 def test_transcript_replay_exact(params):
-    # b - A*s - e - r*floor(q/2) == 0 with A*s recomputed independently
+    # b - A[0]*s - e_0 - r_0*floor(q/2) == 0 with A[0]*s recomputed independently
     half = params.q // 2
     for tag in range(10):
         hs = hide(fixed_ent(tag), params)
-        mat, s, e, r = hide_transcript(fixed_ent(tag), params)
-        for i in range(params.m):
-            prod_i = np.zeros(params.degree, dtype=np.int64)
-            for j in range(params.n):
-                prod_i += conv_negacyclic(mat[i][j], s[j], params.q)
-            residue = (
-                np.array(hs.b[i], dtype=np.int64)
-                - prod_i
-                - np.array(e[i], dtype=np.int64)
-                - np.array(r[i], dtype=np.int64) * half
-            ) % params.q
-            assert not residue.any()
+        a, s, e, r = hide_transcript(fixed_ent(tag), params)
+        prod = np.zeros(params.degree, dtype=np.int64)
+        for j in range(params.n):
+            prod += conv_negacyclic(a[j], s[j], params.q)
+        residue = (
+            np.array(hs.b, dtype=np.int64)
+            - prod
+            - np.array(e, dtype=np.int64)
+            - np.array(r, dtype=np.int64) * half
+        ) % params.q
+        assert not residue.any()
 
 
 def replay_hiding_batch(seed, t, p, draw_error):

@@ -50,8 +50,9 @@ def test_flipped_entropy_changes_matrix(ent_zero, ent_one, params):
 
 
 def test_matrix_shape_and_range(ent_zero, params):
+    # only the designated row 0 is drawn
     mat = expand_matrix(ent_zero, params).tolist()
-    assert len(mat) == params.m and all(len(row) == params.n for row in mat)
+    assert len(mat) == 1 and all(len(row) == params.n for row in mat)
     for row in mat:
         for poly in row:
             assert len(poly) == params.degree
@@ -164,11 +165,22 @@ def test_samplers_match_sequential_reference(which, request):
         p = request.getfixturevalue(which)
     for tag in range(4000, 4006):
         ent = fixed_ent(tag)
-        assert expand_matrix(ent, p).tolist() == ref_expand_matrix(ent, p)
+        assert expand_matrix(ent, p).tolist() == ref_expand_matrix(ent, p)[:1]
         assert sample_secret(ent, p).tolist() == ref_sample_secret(ent, p)
         for nonce in (0, 1, 7):
             assert sample_error(ent, p, nonce).tolist() == ref_sample_error(ent, p, nonce)
         assert seed_payload(ent, p).tolist() == ref_seed_payload(ent, p)
+
+
+@pytest.mark.parametrize("m", [1, 4, 8])
+def test_matrix_is_row_zero_of_the_reference(m):
+    # the entries labelled 0x00 || 0 || j, whatever the sample width m
+    p = Params(m=m)
+    for tag in range(4100, 4103):
+        ent = fixed_ent(tag)
+        mat = expand_matrix(ent, p)
+        assert mat.shape == (1, p.n, p.degree)
+        assert mat[0].tolist() == ref_expand_matrix(ent, p)[0]
 
 
 def test_short_digest_is_read_again(toy_params, monkeypatch):
@@ -191,6 +203,6 @@ def test_short_digest_is_read_again(toy_params, monkeypatch):
     for tag in range(4000, 4006):
         reads.clear()
         ent = fixed_ent(tag)
-        assert expand_matrix(ent, toy_params).tolist() == ref_expand_matrix(ent, toy_params)
+        assert expand_matrix(ent, toy_params).tolist() == ref_expand_matrix(ent, toy_params)[:1]
         reread += sum(len(lengths) > 1 for lengths in reads.values())
     assert reread > 0
