@@ -1,5 +1,5 @@
-"""lwerng: a pseudorandom bit generator whose seed is concealed under the
-designated row of a lattice sample (b = A[0]*s + e_0 + r_0*floor(q/2)) and
+"""lwerng: a pseudorandom bit generator whose seed is concealed in one row of
+a lattice sample, b = A[0]*s + e_0 + r_0*floor(q/2), the only row drawn, and
 expanded by a four-register master/slave LFSR machine with mask whitening."""
 
 from .errors import (

@@ -10,8 +10,8 @@ class InvalidModulus(LwerngError):
 
 
 class InconsistentLayout(LwerngError):
-    """A parameter-set dimension (n, m or eta) is not positive, n is above
-    2^11, or 2*eta is not below q."""
+    """A parameter-set dimension (n or eta) is not positive, n is above
+    256, or 2*eta is not below q."""
 
 
 class DimensionMismatch(LwerngError):

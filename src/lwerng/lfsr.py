@@ -239,26 +239,6 @@ class LfsrBank:
         raw = _gather(self._walk(0))
         return int.from_bytes(np.packbits(raw, bitorder="little"), "little"), raw.size
 
-    def step_trace(self):
-        """As step(), plus the step's record.
-
-        The record is {cursor, word, master: (count, l4o, peak, fb4)}: the
-        governing word, the master's ejected bits, the slaves' peak word and
-        the master's feedback.  With the state before it, the sequence of
-        records determines the run.
-        """
-        cursor = self.coeff_cursor
-        l4 = self.regs[3]
-        w = l4 >> (cursor * _WORD_BITS) & _M32
-        v, nbits = self.step()
-        count = w.bit_count()
-        master = (0, 0, 0, 0)
-        if count:
-            master = (count, l4 & ((1 << count) - 1),
-                      max(r & _M32 for r in self.regs[:3]),
-                      self.regs[3] >> (_REG_BITS - count))
-        return v, nbits, {"cursor": cursor, "word": w, "master": master}
-
     def _walk(self, need: int):
         """Phase 1: step until `need` raw bits are out or the master is zero.
 

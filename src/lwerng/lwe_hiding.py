@@ -1,8 +1,8 @@
 """Seed concealment: the designated row b = sum_j A[0][j]*s_j + e_0 +
-r_0*floor(q/2) of the sample A*s + e + r*floor(q/2) over R_q^m, the only row
-the register machine reads and so the only one drawn (m sets just the
-experiment's sample width); and an empirical distinguishing experiment
-between concealed and uniform samples, with uniform against uniform as its null.
+r_0*floor(q/2) of an LWE sample A*s + e + r*floor(q/2), the one polynomial
+the register machine reads and so the only row drawn; and an empirical
+distinguishing experiment between concealed and uniform samples of
+_SAMPLE_ROWS ring elements, with uniform against uniform as its null.
 
 One ring serves all of it: `polyring`'s transforms run on the designated
 row's stacked entries for `hide` and on whole chunks of trials for the
@@ -32,8 +32,8 @@ from .sampling import (
 
 @dataclass
 class HiddenSeed:
-    """The concealed seed b, the designated polynomial as a list of degree
-    ints, and the parameter set used."""
+    """The concealed seed b = A[0]*s + e_0 + r_0*floor(q/2), the one
+    polynomial `hide` computes, as a list of degree ints; and its parameters."""
 
     b: list
     params: Params
@@ -42,14 +42,14 @@ class HiddenSeed:
 def hide(ent: EntropyInput, p: Params = None) -> HiddenSeed:
     """Conceal the payload derived from `ent` under the designated sample.
 
-    Deterministic in `ent`: matrix row 0, secret, error (nonce 0) and payload
-    expand from it under their domain labels.  Row 0 of the error and the
-    payload is a prefix of its stream, so b does not depend on m.
+    Deterministic in `ent`: the designated matrix row, the secret, the
+    error polynomial and the payload expand from it under their domain
+    labels.
     """
     p = p or default_params()
     prod = polyring.mat_vec_mul(expand_matrix(ent, p), sample_secret(ent, p), p)[0]
-    e = sample_error(ent, p, nonce=0)[0]
-    r = seed_payload(ent, p)[0]
+    e = sample_error(ent, p)
+    r = seed_payload(ent, p)
     # a list of ints, as HiddenSeed documents: callers compare b with ==;
     # e is reduced, so e - q in [-q, 0) keeps the sum in _combine's range
     return HiddenSeed(b=_combine(prod, e - p.q, r, p).tolist(), params=p)
@@ -79,8 +79,12 @@ def _combine(prod, e, r, p: Params) -> np.ndarray:
 MODES = ("hiding_vs_uniform", "uniform_vs_uniform")
 
 MIN_TRIALS = 1000
-# trials per batch of the experiment: bounds its (trials, m*degree) arrays and
-# fixes the order of the rng's draws, so the hit counts depend on it
+# ring elements per experiment sample: a whole sample A*s + e + r*floor(q/2)
+# of a 4-row matrix, not only the one row `hide` conceals, so at degree 256
+# each distinguisher reads 1024 coefficients; the hit counts depend on it
+_SAMPLE_ROWS = 4
+# trials per batch of the experiment: bounds its (trials, _SAMPLE_ROWS*degree)
+# arrays and fixes the order of the rng's draws, so the hit counts depend on it
 _EXPERIMENT_CHUNK = 2048
 
 # median of the chi-square distribution with 15 degrees of freedom; the
@@ -130,12 +134,14 @@ def distinguishing_experiment(
     """Empirical advantage of a fixed distinguisher battery between two arms.
 
     Modes:
-        hiding_vs_uniform: concealed samples (fresh uniform A, fresh secret,
-            fresh error and payload per trial) against uniform Z_q^m samples.
+        hiding_vs_uniform: concealed samples (fresh uniform A of
+            _SAMPLE_ROWS rows, fresh secret, fresh error and payload per
+            trial) against uniform samples of _SAMPLE_ROWS ring elements.
         uniform_vs_uniform: null control, both arms uniform.
 
-    Each distinguisher maps one sample (m*degree coefficients) to {0, 1};
-    the advantage is |hit_rate_a - hit_rate_b| with a binomial sigma.
+    Each distinguisher maps one sample (_SAMPLE_ROWS*degree coefficients)
+    to {0, 1}; the advantage is |hit_rate_a - hit_rate_b| with a binomial
+    sigma.
     """
     p = p or default_params()
     if trials < MIN_TRIALS:
@@ -188,7 +194,7 @@ def _distinguisher_hits(samples: np.ndarray, q: int) -> dict:
 def _battery_hits(trials, p: Params, mode, seed):
     rng = np.random.default_rng(seed)
     q = p.q
-    width = p.m * p.degree
+    width = _SAMPLE_ROWS * p.degree
     hits_a = dict.fromkeys(_DISTINGUISHER_NAMES, 0)
     hits_b = dict.fromkeys(_DISTINGUISHER_NAMES, 0)
     done = 0
@@ -219,25 +225,25 @@ def _hiding_batch(rng, t: int, p: Params) -> np.ndarray:
     # centred secret in [-eta, eta]: ntt is exact for |x| < q, so no % q
     s = rng.integers(0, 2 * p.eta + 1, size=(t, p.n, d), dtype=np.int64) - p.eta
     s_hat = polyring.ntt(s, p)
-    b_hat = np.zeros((t, p.m, d), dtype=np.int64)
+    b_hat = np.zeros((t, _SAMPLE_ROWS, d), dtype=np.int64)
     # Entries are drawn one at a time, row by row; that order fixes the
     # output for a seed.  A row's n products, each below q^2 < 2^52, are
     # summed unreduced and reduced once, as in mat_vec_mul: validate's
-    # n <= 2^11 keeps the sum below 2^63.  One accumulator lives across the
+    # n <= 256 keeps the sum below 2^60.  One accumulator lives across the
     # rows: variants that freed it per row, or held a whole row of entries,
     # ran the `distinguish` benchmark workload up to 20% slower (glibc heap
     # trimming).
-    for i in range(p.m):
+    for i in range(_SAMPLE_ROWS):
         acc = np.zeros((t, d), dtype=np.int64)
         for j in range(p.n):
             a_ij = rng.integers(0, q, size=(t, d), dtype=np.int64)
             acc += a_ij * s_hat[:, j, :]
         b_hat[:, i, :] = acc % q
     b = polyring.inv_ntt(b_hat, p)
-    shape = (t, p.m, d)
+    shape = (t, _SAMPLE_ROWS, d)
     e = _binomial(rng, shape, p.eta) - _binomial(rng, shape, p.eta)
     r = rng.integers(0, 2, size=shape, dtype=np.int64)
-    return _combine(b, e, r, p).reshape(t, p.m * d)
+    return _combine(b, e, r, p).reshape(t, _SAMPLE_ROWS * d)
 
 
 def _binomial(rng, shape, eta: int) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Parameter sets: lattice constants, their validity conditions and derived values.
 
-A parameter set names only the lattice: q, n, m, degree and eta.  The default
-is q = 8380417, m = n = 4, degree-256 polynomials.  The register machine's
+A parameter set names only the lattice: q, n, degree and eta.  The default
+is q = 8380417, n = 4, degree-256 polynomials.  The register machine's
 layout (coefficient words, registers, whitening mask) is its own, in `lfsr`;
 it needs degree > 32, so smaller rings serve the ring arithmetic only.  Every
 `Params` is validated when it is built.
@@ -20,10 +20,7 @@ class Params:
     Attributes:
         q: coefficient modulus; must be an odd prime with q = 1
             (mod 2*degree), q < 2^26 and degree * (q - 1) * floor(q/2) < 2^53.
-        n: secret vector dimension (at most 2^11).
-        m: sample width, in ring elements, of the distinguishing
-            experiment; `hide` conceals only the designated row, so the
-            stream does not depend on m.
+        n: secret vector dimension (at most 256, the matrix label's j field).
         degree: polynomial degree (power of two, at most 2^10).
         eta: bound of the secret/error coefficients (support {-eta..eta});
             must satisfy 2*eta < q.
@@ -31,7 +28,6 @@ class Params:
 
     q: int = 8380417
     n: int = 4
-    m: int = 4
     degree: int = 256
     eta: int = 1
 
@@ -106,15 +102,16 @@ def validate(p: Params) -> None:
     degree * (q - 1) * floor(q/2) < 2^53 keeps each ring transform one
     exact float64 product (see polyring.ntt).  At degree 256 it means
     q < 2^23, which the default q = 8380417 meets.  degree <= 2^10 keeps
-    each dense transform matrix at 8 MiB at most.  q < 2^26 and n <= 2^11
-    keep a mat_vec_mul row sum of n products below 2^11 * (q - 1)^2 < 2^63,
-    so it needs one reduction.
+    each dense transform matrix at 8 MiB at most.  n <= 256 because the
+    matrix label gives the column j one byte (see sampling); with q < 2^26
+    it keeps a mat_vec_mul row sum of n products below
+    256 * (q - 1)^2 < 2^60, so it needs one reduction.
 
     Raises:
         InvalidModulus: q fails oddness, q = 1 (mod 2*degree), the bound
             q < 2^26, primality or the transform bound above; or degree is
             not a power of two in [2, 2^10].
-        InconsistentLayout: n, m or eta is not positive, n > 2^11, or
+        InconsistentLayout: n or eta is not positive, n > 256, or
             2*eta >= q.
     """
     if p.q < 2 or p.q % 2 == 0:
@@ -136,9 +133,9 @@ def validate(p: Params) -> None:
     if not _is_prime(p.q):
         # a prime q = 1 (mod 2*degree) has the 2*degree-th roots psi needs
         raise InvalidModulus(f"q={p.q} is not prime")
-    if p.n < 1 or p.m < 1 or p.eta < 1:
-        raise InconsistentLayout("n, m and eta must be positive")
-    if p.n > 1 << 11:
-        raise InconsistentLayout(f"n={p.n} is above 2^11")
+    if p.n < 1 or p.eta < 1:
+        raise InconsistentLayout("n and eta must be positive")
+    if p.n > 256:
+        raise InconsistentLayout(f"n={p.n} is above 256")
     if 2 * p.eta >= p.q:
         raise InconsistentLayout(f"2*eta={2 * p.eta} is not below q={p.q}")

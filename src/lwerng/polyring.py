@@ -10,8 +10,9 @@ matrix product over all leading axes at once.  That product is exact for
 every input below q in absolute value because `validate` admits only rings
 with degree * (q - 1) * floor(q/2) < 2^53 (see `ntt`).  In int64 a product
 of two reduced coefficients is below 2^52, and since `validate` bounds n by
-2^11, the unreduced row sums of `mat_vec_mul` stay below 2^63.  How the
-register machine reads a polynomial's bits is `lfsr`'s rule, not the ring's.
+256, the unreduced row sums of `mat_vec_mul` stay below
+256 * (q - 1)^2 < 2^60.  How the register machine reads a polynomial's bits
+is `lfsr`'s rule, not the ring's.
 """
 
 from functools import lru_cache
@@ -89,9 +90,9 @@ def mat_vec_mul(mat, vec, p: Params) -> np.ndarray:
 
     One forward transform over every matrix entry and vector polynomial,
     stacked; each row's transform-domain products summed unreduced with one
-    reduction per row; one inverse over all rows.  A row of n <= 2^11
-    products stays below 2^63, so the vector and every row must be exactly
-    n wide.  Returns an (m, degree) array.
+    reduction per row; one inverse over all rows.  A row of n <= 256
+    products stays below 2^60, so the vector and every row must be exactly
+    n wide.  Returns a (rows, degree) array.
     """
     if len(vec) != p.n or any(len(row) != p.n for row in mat):
         raise DimensionMismatch(

@@ -1,16 +1,17 @@
 """Randomness intake: every sampler is a pure function of a 32-byte entropy
-input, a single-byte domain label and (for errors) a nonce.
+input and its domain label.
 
 Domain label table (normative):
 
-    0x00 || i || j   public matrix entry (i, j); only row i = 0 is drawn
-    0x01             secret vector
-    0x02 || nonce    error vector, nonce as 2-byte big-endian counter
-    0x03             binary payload (the concealed seed bits)
-    0x04 || gen      reseed entropy derivation, gen as 8-byte big-endian
+    0x00 || 0x00 || j   entry j of the designated row of the public matrix
+    0x01                secret vector
+    0x02 || 0x00 0x00   error polynomial of the designated row
+    0x03                binary payload (the concealed seed bits)
+    0x04 || gen         reseed entropy derivation, gen as 8-byte big-endian
 
-All streams are SHAKE-256 of entropy || label.  Bit-level reads consume the
-bytes LSB-first: the first bit read from a byte is its bit 0.
+j is one byte, so `validate` bounds n by 256.  All streams are SHAKE-256 of
+entropy || label.  Bit-level reads consume the bytes LSB-first: the first
+bit read from a byte is its bit 0.
 """
 
 import hashlib
@@ -24,7 +25,7 @@ SEED_BYTES = 32
 
 LABEL_MATRIX = 0x00
 LABEL_SECRET = 0x01
-LABEL_ERROR = 0x02
+LABEL_ERROR = b"\x02\x00\x00"
 LABEL_PAYLOAD = 0x03
 LABEL_RESEED = 0x04
 
@@ -84,10 +85,10 @@ def _accepted(xofs, width: int, keep: int, bound: int, need: int) -> np.ndarray:
 
 
 def expand_matrix(ent: EntropyInput, p: Params = None) -> np.ndarray:
-    """Expand row 0 of the public matrix, the designated row, as (1, n, degree).
+    """Expand the designated row of the public matrix as (1, n, degree).
 
-    `hide` conceals only the designated sample, so rows 1..m-1 are never
-    drawn.  Each coefficient comes from the entry's own stream by reading
+    `hide` conceals only the designated sample, so no other row is drawn.
+    Each coefficient comes from the entry's own stream by reading
     ceil(bitlen(q)/8) bytes little-endian, masking to bitlen(q) bits and
     rejecting values >= q (acceptance ~ q / 2^bitlen).
     """
@@ -110,26 +111,24 @@ def sample_secret(ent: EntropyInput, p: Params = None) -> np.ndarray:
     return ((v - p.eta) % p.q).reshape(p.n, p.degree)
 
 
-def sample_error(ent: EntropyInput, p: Params = None, nonce: int = 0) -> np.ndarray:
-    """Error vector, (m, degree), from the centered binomial of parameter eta mod q.
+def sample_error(ent: EntropyInput, p: Params = None) -> np.ndarray:
+    """Error polynomial, (degree,): centered binomial of parameter eta, mod q.
 
     Per coefficient, eta bits minus eta bits; for eta = 1 this gives
     P(0) = 1/2 and P(+-1) = 1/4 on support {-1, 0, 1}.
     """
     p = p or default_params()
-    nbits = 2 * p.eta * p.m * p.degree
-    xof = _xof(ent, bytes([LABEL_ERROR]) + nonce.to_bytes(2, "big"))
-    bits = _bits(xof.digest((nbits + 7) // 8))[:nbits]
-    ab = bits.reshape(p.m, p.degree, 2, p.eta).sum(axis=-1, dtype=np.int64)
-    return (ab[..., 0] - ab[..., 1]) % p.q
+    nbits = 2 * p.eta * p.degree
+    bits = _bits(_xof(ent, LABEL_ERROR).digest((nbits + 7) // 8))[:nbits]
+    ab = bits.reshape(p.degree, 2, p.eta).sum(axis=-1, dtype=np.int64)
+    return (ab[:, 0] - ab[:, 1]) % p.q
 
 
 def seed_payload(ent: EntropyInput, p: Params = None) -> np.ndarray:
-    """Binary payload, (m, degree): coefficients in {0, 1}, one bit each."""
+    """Binary payload, (degree,): coefficients in {0, 1}, one bit each."""
     p = p or default_params()
-    nbits = p.m * p.degree
-    raw = _xof(ent, bytes([LABEL_PAYLOAD])).digest((nbits + 7) // 8)
-    return _bits(raw)[:nbits].reshape(p.m, p.degree).astype(np.int64)
+    raw = _xof(ent, bytes([LABEL_PAYLOAD])).digest((p.degree + 7) // 8)
+    return _bits(raw)[:p.degree].astype(np.int64)
 
 
 def derive_reseed_entropy(ent: EntropyInput, generation: int) -> EntropyInput:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lwerng.lwe_hiding import _distinguisher_hits
+from lwerng.lwe_hiding import _SAMPLE_ROWS, _distinguisher_hits
 from lwerng.params import Params, default_params
 from lwerng.sampling import EntropyInput
 
@@ -13,14 +13,14 @@ def params():
 
 @pytest.fixture(scope="session")
 def toy_params():
-    """q=257, degree 4, m=n=2; ring-only toy (too short to fill the registers)."""
-    return Params(q=257, n=2, m=2, degree=4)
+    """q=257, degree 4, n=2; ring-only toy (too short to fill the registers)."""
+    return Params(q=257, n=2, degree=4)
 
 
 @pytest.fixture(scope="session")
 def tiny_params():
     """q=17, degree 4 ring for hand-checkable arithmetic."""
-    return Params(q=17, n=2, m=2, degree=4)
+    return Params(q=17, n=2, degree=4)
 
 
 @pytest.fixture
@@ -41,7 +41,7 @@ def degenerate_pair_advantages(p) -> dict:
     """Each distinguisher's advantage on the degenerate pair A = s = e = 0:
     the concealed sample (payload r = 1) is every coefficient q//2, the plain
     sample every coefficient 0.  The pair is one trial per arm."""
-    width = p.m * p.degree
+    width = _SAMPLE_ROWS * p.degree
     hits_a = _distinguisher_hits(np.full((1, width), p.q // 2, dtype=np.int64), p.q)
     hits_b = _distinguisher_hits(np.zeros((1, width), dtype=np.int64), p.q)
     return {name: abs(hits_a[name] - hits_b[name]) for name in hits_a}

@@ -61,22 +61,20 @@ class BitReader:
 
 
 def ref_expand_matrix(ent, p):
+    """The designated row: entry j from the stream labelled 0x00 || 0x00 || j."""
     bits = p.q.bit_length()
     nbytes = (bits + 7) // 8
     mask = (1 << bits) - 1
-    rows = []
-    for i in range(p.m):
-        row = []
-        for j in range(p.n):
-            reader = BitReader(ent, bytes([0x00, i, j]))
-            coeffs = []
-            while len(coeffs) < p.degree:
-                v = reader.read_bits(8 * nbytes) & mask
-                if v < p.q:
-                    coeffs.append(v)
-            row.append(coeffs)
-        rows.append(row)
-    return rows
+    row = []
+    for j in range(p.n):
+        reader = BitReader(ent, bytes([0x00, 0x00, j]))
+        coeffs = []
+        while len(coeffs) < p.degree:
+            v = reader.read_bits(8 * nbytes) & mask
+            if v < p.q:
+                coeffs.append(v)
+        row.append(coeffs)
+    return row
 
 
 def ref_sample_secret(ent, p):
@@ -93,22 +91,19 @@ def ref_sample_secret(ent, p):
     return out
 
 
-def ref_sample_error(ent, p, nonce):
-    reader = BitReader(ent, bytes([0x02]) + nonce.to_bytes(2, "big"))
-    out = []
-    for _ in range(p.m):
-        coeffs = []
-        for _ in range(p.degree):
-            a = reader.read_bits(p.eta).bit_count()
-            b = reader.read_bits(p.eta).bit_count()
-            coeffs.append((a - b) % p.q)
-        out.append(coeffs)
-    return out
+def ref_sample_error(ent, p):
+    reader = BitReader(ent, bytes([0x02, 0x00, 0x00]))
+    coeffs = []
+    for _ in range(p.degree):
+        a = reader.read_bits(p.eta).bit_count()
+        b = reader.read_bits(p.eta).bit_count()
+        coeffs.append((a - b) % p.q)
+    return coeffs
 
 
 def ref_seed_payload(ent, p):
     reader = BitReader(ent, bytes([0x03]))
-    return [[reader.read_bits(1) for _ in range(p.degree)] for _ in range(p.m)]
+    return [reader.read_bits(1) for _ in range(p.degree)]
 
 
 # --- ring oracles ----------------------------------------------------------
@@ -177,9 +172,9 @@ def hide_oracle(a, s, e, r, q):
 
 def hide_transcript(ent, p):
     """(A[0], s, e_0, r_0) of `hide(ent, p)` as lists, redrawn with the public
-    samplers: matrix row 0, the secret, and row 0 of the error and payload."""
+    samplers: the designated matrix row, the secret, the error and the payload."""
     return (expand_matrix(ent, p)[0].tolist(), sample_secret(ent, p).tolist(),
-            sample_error(ent, p, nonce=0)[0].tolist(), seed_payload(ent, p)[0].tolist())
+            sample_error(ent, p).tolist(), seed_payload(ent, p).tolist())
 
 
 # --- distinguisher oracle ----------------------------------------------------
@@ -409,12 +404,10 @@ def bits_to_bytes(bits):
 M32 = 0xFFFFFFFF
 
 
-def int_step(regs, cursor, trace=None):
+def int_step(regs, cursor):
     """One step on 256-bit ints, shifting once per set bit of w.
 
-    Returns (regs', cursor', raw value, raw nbits), LSB-first.  `trace`, when
-    given, receives the step record: cursor, word and master (count, l4o,
-    peak, fb4).
+    Returns (regs', cursor', raw value, raw nbits), LSB-first.
     """
     l1, l2, l3, l4 = regs
     w = (l4 >> (cursor * WORD_BITS)) & M32
@@ -430,7 +423,6 @@ def int_step(regs, cursor, trace=None):
         l3 = (l3 >> pos) | ((l3o ^ (w & mask)) << top)
         out_v |= (l1o | (l2o << pos) | (l3o << (2 * pos))) << out_w
         out_w += 3 * pos
-    master = (0, 0, 0, 0)
     count = w.bit_count()
     if count:
         cmask = (1 << count) - 1
@@ -440,9 +432,6 @@ def int_step(regs, cursor, trace=None):
         l4 = (l4 >> count) | (fb4 << (REG_BITS - count))
         out_v |= l4o << out_w
         out_w += count
-        master = (count, l4o, peak, fb4)
-    if trace is not None:
-        trace.update(cursor=cursor, word=w, master=master)
     return [l1, l2, l3, l4], (cursor + 1) % WORDS_PER_REG, out_v, out_w
 
 

@@ -29,13 +29,19 @@ def test_traced_functions_exist():
     assert "next_bytes" in vars(lwerng.Generator)
 
 
+HIDE_LAYERS = [
+    ("sampling", "expand_matrix"), ("sampling", "sample_secret"),
+    ("sampling", "sample_error"), ("sampling", "seed_payload"),
+    ("polyring", "mat_vec_mul"), ("polyring", "ntt"), ("polyring", "inv_ntt"),
+]
+
+
 def test_hide_reaches_the_traced_ring_and_matrix(monkeypatch):
     # wrapped as the tracer wraps them, in every lwerng module that binds
     # them: a hide that went round one would leave its span or count at 0
     reached = set()
     modules = [m for k, m in sys.modules.items() if k == "lwerng" or k.startswith("lwerng.")]
-    for module, name in [("sampling", "expand_matrix"), ("polyring", "mat_vec_mul"),
-                         ("polyring", "ntt"), ("polyring", "inv_ntt")]:
+    for module, name in HIDE_LAYERS:
         orig = getattr(importlib.import_module(f"lwerng.{module}"), name)
 
         def wrapped(*args, _orig=orig, _name=name, **kwargs):
@@ -47,7 +53,7 @@ def test_hide_reaches_the_traced_ring_and_matrix(monkeypatch):
                 if value is orig:
                     monkeypatch.setattr(mod, key, wrapped)
     lwerng.hide(lwerng.EntropyInput(bytes(32)), lwerng.default_params())
-    assert reached == {"expand_matrix", "mat_vec_mul", "ntt", "inv_ntt"}
+    assert reached == {name for _, name in HIDE_LAYERS}
 
 
 def test_step_probe_from_injected_state():

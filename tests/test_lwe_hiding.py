@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from lwerng import polyring as pr
-from lwerng.errors import InsufficientTrials
+from lwerng.errors import InconsistentLayout, InsufficientTrials
 from lwerng.lfsr import initialize
 from lwerng.params import Params
 from lwerng.lwe_hiding import (
     MODES,
+    _SAMPLE_ROWS,
     _distinguisher_hits,
     _hiding_batch,
     distinguishing_experiment,
@@ -32,21 +33,21 @@ def test_designated_polynomial_fills_8192_bits(ent_zero, params):
     assert 256 * 32 == 4 * 256 + initialize(hs).mask_bits == 8192
 
 
-def test_concealment_does_not_depend_on_m():
-    # only the designated row is drawn, and its error and payload are the
-    # prefixes of their streams
-    for tag in range(5):
-        ent = fixed_ent(tag)
-        b = hide(ent, Params(m=1)).b
-        assert hide(ent, Params(m=4)).b == b
-        assert hide(ent, Params(m=8)).b == b
-
-
 def test_toy_hide_matches_schoolbook_oracle(toy_params):
     for tag in range(20):
         hs = hide(fixed_ent(tag), toy_params)
         a, s, e, r = hide_transcript(fixed_ent(tag), toy_params)
         assert hs.b == hide_oracle(a, s, e, r, toy_params.q)
+
+
+def test_widest_row_hides_exactly():
+    # n = 256 is the widest row the one-byte column label j names
+    p = Params(q=97, n=256, degree=16)
+    for tag in range(2):
+        hs = hide(fixed_ent(tag), p)
+        assert hs.b == hide_oracle(*hide_transcript(fixed_ent(tag), p), p.q)
+    with pytest.raises(InconsistentLayout):
+        Params(q=97, n=257, degree=16)
 
 
 def test_transcript_replay_exact(params):
@@ -77,8 +78,8 @@ def replay_hiding_batch(seed, t, p, draw_error):
     rng = np.random.default_rng(seed)
     s = (rng.integers(0, 2 * p.eta + 1, size=(t, p.n, d), dtype=np.int64) - p.eta) % q
     a_hat = [[rng.integers(0, q, size=(t, d), dtype=np.int64) for _ in range(p.n)]
-             for _ in range(p.m)]
-    shape = (t, p.m, d)
+             for _ in range(_SAMPLE_ROWS)]
+    shape = (t, _SAMPLE_ROWS, d)
     e = draw_error(rng, shape)
     r = rng.integers(0, 2, size=shape)
     samples = []
@@ -147,6 +148,24 @@ def test_experiment_hiding_null_smoke(params):
     report = distinguishing_experiment(10_000, params, mode="hiding_vs_uniform", seed=2)
     for res in report.results:
         assert res.advantage <= 3 * max(res.sigma, (0.5 / report.trials) ** 0.5)
+
+
+# (coef_chi2, serial_corr, high_bit_weight) hits of arm a and arm b at 1000
+# trials; they pin the sample width and the order of the rng's draws
+EXPERIMENT_HITS = {
+    (0, "hiding_vs_uniform"): ((492, 489), (496, 512), (511, 490)),
+    (0, "uniform_vs_uniform"): ((475, 503), (508, 503), (505, 476)),
+    (7, "hiding_vs_uniform"): ((507, 514), (525, 508), (480, 485)),
+    (7, "uniform_vs_uniform"): ((509, 507), (489, 476), (496, 495)),
+}
+
+
+@pytest.mark.parametrize("seed, mode", list(EXPERIMENT_HITS))
+def test_experiment_hit_counts_golden(seed, mode):
+    report = distinguishing_experiment(1000, mode=mode, seed=seed)
+    assert [r.name for r in report.results] == ["coef_chi2", "serial_corr", "high_bit_weight"]
+    hits = tuple((r.hits_a, r.hits_b) for r in report.results)
+    assert hits == EXPERIMENT_HITS[seed, mode]
 
 
 def test_experiment_positive_control(params):

@@ -15,7 +15,7 @@ from lwerng.params import (
 
 
 def test_default_constants(params):
-    assert (params.q, params.n, params.m, params.degree) == (8380417, 4, 4, 256)
+    assert (params.q, params.n, params.degree) == (8380417, 4, 256)
     assert params.eta == 1
 
 
@@ -110,8 +110,12 @@ def test_oversized_modulus_rejected():
 
 
 def test_layout_identities_enforced():
-    # the register layout is fixed by the machine, not a constructor field
-    assert [f.name for f in fields(Params)] == ["q", "n", "m", "degree", "eta"]
+    # the register layout is fixed by the machine, not a constructor field,
+    # and the experiment's sample width is the experiment's
+    assert [f.name for f in fields(Params)] == ["q", "n", "degree", "eta"]
+    assert not hasattr(Params(), "m")
+    with pytest.raises(TypeError):
+        Params(m=4)
     with pytest.raises(TypeError):
         Params(state_bits=2048)
     with pytest.raises(TypeError):
@@ -122,16 +126,17 @@ def test_layout_identities_enforced():
 
 
 def test_nonpositive_dimensions_rejected():
-    for bad in (dict(n=0), dict(m=0), dict(eta=0)):
+    for bad in (dict(n=0), dict(eta=0)):
         with pytest.raises(InconsistentLayout):
             Params(**bad)
 
 
 def test_secret_dimension_bound_keeps_row_sums_exact():
-    # a mat_vec_mul row sums n products below (q - 1)^2 < 2^52 in int64
-    assert Params(n=2048).n == 2048
+    # the matrix label gives j one byte; a mat_vec_mul row then sums at most
+    # 256 products below (q - 1)^2 < 2^52, below 2^60 in int64
+    assert Params(n=256).n == 256
     with pytest.raises(InconsistentLayout):
-        Params(n=2049)
+        Params(n=257)
 
 
 def test_eta_must_fit_below_half_q():

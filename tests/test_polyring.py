@@ -195,7 +195,7 @@ def test_mat_vec_identity_like(toy_params):
     zero = [0] * toy_params.degree
     eye = [
         [one(toy_params.degree) if i == j else zero for j in range(toy_params.n)]
-        for i in range(toy_params.m)
+        for i in range(toy_params.n)
     ]
     assert pr.mat_vec_mul(eye, s, toy_params).tolist() == s
 
@@ -204,15 +204,15 @@ def test_mat_vec_zero(toy_params):
     rng = random.Random(20)
     s = [rand_poly(rng, toy_params) for _ in range(toy_params.n)]
     zero = [0] * toy_params.degree
-    zmat = [[zero] * toy_params.n for _ in range(toy_params.m)]
-    assert pr.mat_vec_mul(zmat, s, toy_params).tolist() == [zero] * toy_params.m
+    zmat = [[zero] * toy_params.n for _ in range(2)]
+    assert pr.mat_vec_mul(zmat, s, toy_params).tolist() == [zero] * 2
 
 
 def test_mat_vec_matches_loop_oracle(toy_params):
     rng = random.Random(21)
     for _ in range(20):
         mat = [[rand_poly(rng, toy_params) for _ in range(toy_params.n)]
-               for _ in range(toy_params.m)]
+               for _ in range(2)]
         s = [rand_poly(rng, toy_params) for _ in range(toy_params.n)]
         assert pr.mat_vec_mul(mat, s, toy_params).tolist() == \
             loop_mat_vec(mat, s, toy_params.q)
@@ -227,7 +227,7 @@ def test_mat_vec_dimension_mismatch(toy_params):
     # rows as wide as the vector but wider than n: 2^11 + 1 products near
     # (q - 1)^2 would pass 2^63 and wrap silently; the guard rejects on
     # length alone, so zero polynomials stand in for such rows
-    p = Params(q=67104769, n=1, m=1, degree=2)
+    p = Params(q=67104769, n=1, degree=2)
     zero = [0] * p.degree
     mat = [[zero] * ((1 << 11) + 1)]
     s = [zero] * ((1 << 11) + 1)
@@ -255,15 +255,15 @@ def test_mat_vec_exact_at_largest_modulus():
     p = Params(q=8383489)
     rng = random.Random(24)
     mat = [[[p.q - 1 - rng.randrange(8) for _ in range(p.degree)] for _ in range(p.n)]
-           for _ in range(p.m)]
+           for _ in range(4)]
     s = [near_max_hat(rng, p) for _ in range(p.n)]
     assert pr.mat_vec_mul(mat, s, p).tolist() == loop_mat_vec(mat, s, p.q)
 
 
 def test_mat_vec_widest_row_sums_exactly():
-    # at the largest n validate allows, 2^11 transform-domain products near
-    # (q - 1)^2 sum to just below 2^63 with one reduction per row
-    p = Params(q=67104769, n=1 << 11, m=1, degree=2)
+    # at the largest n validate allows, 256 transform-domain products near
+    # (q - 1)^2 sum to just below 2^60 with one reduction per row
+    p = Params(q=67104769, n=256, degree=2)
     rng = random.Random(25)
     mat = [[near_max_hat(rng, p) for _ in range(p.n)]]
     s = [near_max_hat(rng, p) for _ in range(p.n)]
