@@ -47,20 +47,23 @@ slave is a FIFO with a lag-256 recurrence:
 
 where W concatenates, over each step's set bits p in ascending order, the
 low p bits of w.  The register contents do not depend on where a step's
-segments begin and end; only the output interleave does.  So emission runs
-in two phases:
+segments begin and end; only the output interleave does.  So each slave's
+stream is a run of 256-bit blocks, block k+1 being block k of x1^x2, x2^x3
+and x3^W, and emission runs in two phases:
 
   1. A sequential walk on Python ints (`LfsrBank._walk`).  Per step it builds
      the step's stretch of W and S = sum of positions from per-byte tables,
-     advances the slaves by S bits in FIFO moves of at most 256 bits, keeps
-     the S bits each slave popped, computes the peak and updates the master.
-     Every step, a zero word's included, goes through this one body and
-     leaves one fixed-width record; a zero word's record is all zero and
-     gathers to no bits.  `emit_bits` walks until its request is met and
-     `step` walks one step.
-  2. One vectorised pass per batch (`_gather`): the records are unpacked, the
-     run-gather index is built from the bits of the recorded words (per
-     position p, p bits of each slave's window; then the master's bits), and
+     ORs the stretch into the block's W at the step's offset, moves the
+     offset on by S (and the slaves on by a block each time it passes 256),
+     reads the peak at the new offset and updates the master.  It keeps each
+     block it enters and one 64-bit entry per step, w | l4o << 32 with l4o
+     the master's ejected bits.  Every step, a zero word's included, goes
+     through this one body; a zero word's entry is 0 and gathers to no bits.
+     `emit_bits` walks until its request is met and `step` walks one step.
+  2. One vectorised pass per batch (`_gather`): the three slave streams and
+     the step entries are unpacked together, the run-gather index is built
+     from the bits of each step's word (per position p, p bits of each slave
+     stream from where the step's pop begins; then the master's bits), and
      the raw bits are gathered.  `emit_bits` whitens them against the mask
      tiled from `mask_cursor` (raw bit g meets mask bit g mod mask_bits,
      whatever the step boundaries) and hands them on as a bit array; the
@@ -80,11 +83,6 @@ _REG_BITS = 256
 _REG_MASK = (1 << _REG_BITS) - 1
 _CURSORS = _REG_BITS // _WORD_BITS  # words per register
 _FILL_WORDS = _REGS * _CURSORS  # coefficients 0..31 fill the registers
-# A step record is three slots, one per slave, then the governing word.  A
-# slot holds the S <= 528 bits the slave popped; the first slot then holds the
-# master's c <= 32 ejected bits, so the master's run is one more segment.
-_SLOT = _WORD_BITS * (_WORD_BITS + 1) // 2 + _WORD_BITS
-_RECORD = 3 * _SLOT + _WORD_BITS
 
 
 def _byte_tables(j: int):
@@ -129,51 +127,60 @@ def _feed(w: int):
 
 
 def _run_tables():
-    """Phase-2 tables for a step's 99 runs, run 3*g + r being segment g in slot r.
+    """Phase-2 tables for a step's 99 runs, run 3*g + r being segment g of slave r.
 
     Segments g = 0..31 are the positions p = g+1, segment 32 the master.  A
-    step's 32 word bits times the (32, 199) table give each run's length,
-    then each run's start in the record minus its offset in the step's
-    output, less the slot start r*_SLOT (the second table), and last the
-    step's output width 3S + c.  Segment p has length p if bit p-1 is set;
-    the master's has length c, in slot 0 only.  With off the sum of the set
-    positions below the segment (S for the master), its run in slot r
-    starts at r*_SLOT + off in the record and at 3*off + r*length in the
-    output.
+    step's 32 word bits times the (32, 200) table give each run's length,
+    then each run's start in its source minus its offset in the step's
+    output, and last the step's pop S and S less its output width 3S + c.
+    Segment p has length p if bit p-1 is set; the master's has length c, as
+    run 96 only.  With off the sum of the set positions below the segment
+    (S for the master), its run of slave r starts off bits into the step's
+    pop and at 3*off + r*length in the output.  The second table names each
+    run's slave.
     """
     pos = np.arange(1, _WORD_BITS + 1, dtype=np.float32)
     seg = np.zeros((_WORD_BITS, _WORD_BITS + 1), np.float32)
     seg[:, :-1] = np.diag(pos)
     seg[:, -1] = 1
     off = np.triu(np.repeat(pos[:, None], _WORD_BITS + 1, axis=1), k=1)
-    slot = np.arange(3)
+    slave = np.arange(3)
     lengths = np.repeat(seg[:, :, None], 3, axis=2)
     lengths[:, -1, 1:] = 0
-    shifts = -2 * off[:, :, None] - seg[:, :, None] * slot
-    width = 3 * off[:, -1:] + seg[:, -1:]
-    table = np.hstack([lengths.reshape(_WORD_BITS, -1), shifts.reshape(_WORD_BITS, -1), width])
-    return table.astype(np.float32), np.tile(slot * _SLOT, _WORD_BITS + 1)
+    shifts = -2 * off[:, :, None] - seg[:, :, None] * slave
+    popped = off[:, -1:]
+    table = np.hstack([lengths.reshape(_WORD_BITS, -1), shifts.reshape(_WORD_BITS, -1),
+                       popped, -2 * popped - seg[:, -1:]])
+    return table.astype(np.float32), np.tile(slave, _WORD_BITS + 1)
 
 
 _RUNS = 3 * (_WORD_BITS + 1)
-_RUN_TABLE, _SLOT_STARTS = _run_tables()
+_MASTER_RUN = _RUNS - 3
+_RUN_TABLE, _RUN_SLAVE = _run_tables()
 
 
-def _gather(records: bytes) -> np.ndarray:
-    """Phase 2: the raw output bits of the step records, one uint8 per bit.
+def _gather(slaves: bytes, words: bytes) -> np.ndarray:
+    """Phase 2: the raw output bits of a walk, one uint8 per bit.
 
-    Per step the output is, for each set position p in ascending order, p
-    bits of the x1, x2 and x3 windows, then the master's bits.  The float32
-    product is exact: its entries are sums of at most 32 integers below 2^11.
+    `slaves` is the x1, x2 and x3 streams back to back, each L bits from
+    the walk's first popped bit; `words` holds one 64-bit entry per step,
+    w | l4o << 32.  Per step the output is, for each set position p in
+    ascending order, p bits of x1, x2 and x3 from the step's pop, then the
+    master's bits.  The float32 product is exact: its entries are sums of
+    at most 32 integers below 2^11.
     """
-    bits = np.unpackbits(np.frombuffer(records, np.uint8), bitorder="little")
-    steps = bits.reshape(-1, _RECORD)
-    runs = (steps[:, 3 * _SLOT:] @ _RUN_TABLE).astype(np.int64)
-    width = runs[:, -1]
-    # each step's record start minus its output start
-    shift = np.arange(0, len(steps) * _RECORD, _RECORD) - np.cumsum(width) + width
-    lengths = runs[:, :_RUNS].ravel()
-    idx = np.repeat((runs[:, _RUNS:-1] + _SLOT_STARTS + shift[:, None]).ravel(), lengths)
+    bits = np.unpackbits(np.frombuffer(slaves + words, np.uint8), bitorder="little")
+    span = 8 * len(slaves) // 3
+    steps = bits[3 * span:].reshape(-1, 2 * _WORD_BITS)
+    runs = (steps[:, :_WORD_BITS] @ _RUN_TABLE).astype(np.int64)
+    ends = np.cumsum(runs[:, -2:], axis=0)
+    # each step's pop start minus its output start
+    shift = ends[:, 1] - runs[:, -1]
+    starts = runs[:, _RUNS:-2] + _RUN_SLAVE * span + shift[:, None]
+    # the master's run reads its step's entry from bit 32, not a slave stream
+    entries = np.arange(3 * span, bits.size, 2 * _WORD_BITS)
+    starts[:, _MASTER_RUN] += entries + _WORD_BITS - ends[:, 0]
+    idx = np.repeat(starts.ravel(), runs[:, :_RUNS].ravel())
     idx += np.arange(idx.size)
     return bits[idx]
 
@@ -236,63 +243,59 @@ class LfsrBank:
 
     def step(self):
         """One full governing-word cycle; returns raw (value, nbits), LSB-first."""
-        raw = _gather(self._walk(0))
+        raw = _gather(*self._walk(0))
         return int.from_bytes(np.packbits(raw, bitorder="little"), "little"), raw.size
 
     def _walk(self, need: int):
         """Phase 1: step until `need` raw bits are out or the master is zero.
 
-        The walk takes at least one step, so `_walk(0)` is exactly one.
-        Each step reads w, pops S = sum of w's set positions from every
-        slave in FIFO moves of at most one register width (x1 takes
-        x1^x2, x2 takes x2^x3, x3 takes x3^W), updates the master and
-        records the popped windows, the master's ejected bits and w.  A
-        step with w = 0 pops nothing and leaves the master as it is; its
-        record is all zero and gathers to no bits.
+        Returns (slaves, words) for `_gather`.  The walk takes at least one
+        step, so `_walk(0)` is exactly one.  Block k+1 follows once the steps
+        have fed block k's 256 bits of W.  A peak at offset o > 224 reads
+        the block and the next.  A step with w = 0 feeds nothing and leaves
+        the master as it is.
         """
-        l1, l2, l3, l4 = self.regs
+        r1, r2, r3, l4 = self.regs
         cursor = self.coeff_cursor
-        records = bytearray()
-        got = 0
+        blocks = []  # (x1, x2, x3) of each block the walk has entered
+        words = []
+        wacc = o = got = 0  # W from the block's start; the offset in the block
         while True:
             w = l4 >> (cursor * _WORD_BITS) & _M32
             cursor = (cursor + 1) % _CURSORS
             feed, s = _feed(w)
-            win1 = win2 = win3 = done = 0
-            rem = s
-            while rem >= _REG_BITS:
-                win1 |= l1 << done
-                win2 |= l2 << done
-                win3 |= l3 << done
-                l1, l2, l3 = l1 ^ l2, l2 ^ l3, l3 ^ (feed & _REG_MASK)
-                feed >>= _REG_BITS
-                done += _REG_BITS
-                rem -= _REG_BITS
-            if rem:
-                m = (1 << rem) - 1
-                top = _REG_BITS - rem
-                o1 = l1 & m
-                o2 = l2 & m
-                o3 = l3 & m
-                l1 = l1 >> rem | (o1 ^ o2) << top
-                l2 = l2 >> rem | (o2 ^ o3) << top
-                l3 = l3 >> rem | (o3 ^ feed) << top
-                win1 |= o1 << done
-                win2 |= o2 << done
-                win3 |= o3 << done
+            wacc |= feed << o
+            o += s
+            while o >= _REG_BITS:
+                blocks.append((r1, r2, r3))
+                r1, r2, r3 = r1 ^ r2, r2 ^ r3, r3 ^ (wacc & _REG_MASK)
+                wacc >>= _REG_BITS
+                o -= _REG_BITS
+            if o <= _REG_BITS - _WORD_BITS:
+                peak = max(r1 >> o & _M32, r2 >> o & _M32, r3 >> o & _M32)
+            else:
+                t = _REG_BITS - o
+                peak = max((r1 >> o | (r1 ^ r2) << t) & _M32,
+                           (r2 >> o | (r2 ^ r3) << t) & _M32,
+                           (r3 >> o | (r3 ^ wacc) << t) & _M32)
             c = w.bit_count()
             cmask = (1 << c) - 1
             l4o = l4 & cmask
-            peak = max(l1 & _M32, l2 & _M32, l3 & _M32)
             l4 = l4 >> c | ((peak & cmask) ^ l4o) << (_REG_BITS - c)
-            records += (win1 | l4o << s | win2 << _SLOT | win3 << 2 * _SLOT
-                        | w << 3 * _SLOT).to_bytes(_RECORD // 8, "little")
+            words.append(w | l4o << _WORD_BITS)
             got += 3 * s + c
             if got >= need or not l4:
                 break
-        self.regs = [l1, l2, l3, l4]
+        blocks.append((r1, r2, r3))
+        # the registers are bits [o, o + 256) of this block and the next
+        t = _REG_BITS - o
+        self.regs = [(r1 >> o | (r1 ^ r2) << t) & _REG_MASK,
+                     (r2 >> o | (r2 ^ r3) << t) & _REG_MASK,
+                     (r3 >> o | (r3 ^ wacc) << t) & _REG_MASK, l4]
         self.coeff_cursor = cursor
-        return records
+        slaves = b"".join([r.to_bytes(_REG_BITS // 8, "little")
+                           for stream in zip(*blocks) for r in stream])
+        return slaves, np.array(words, np.uint64).tobytes()
 
     # -- whitened emission -------------------------------------------------
 
@@ -309,7 +312,7 @@ class LfsrBank:
         if buf.size < nbits and self.regs[3]:
             # a zero master raises below before any step: the walk would still
             # advance the cursor, and int_emit does not
-            raw = _gather(self._walk(nbits - buf.size))
+            raw = _gather(*self._walk(nbits - buf.size))
             c = self.mask_cursor
             reps = -(-(c + raw.size) // self.mask_bits)
             raw ^= np.concatenate((self._mask_unpacked,) * reps)[c:c + raw.size]
@@ -321,6 +324,10 @@ class LfsrBank:
             raise DegenerateState("master register is all-zero; stream exhausted")
         self._buf = buf[nbits:]
         return buf[:nbits]
+
+    def unread(self, bits: np.ndarray):
+        """Put bits that emit_bits returned back in front of the buffer."""
+        self._buf = np.concatenate((bits, self._buf))
 
 
 def initialize(hs: HiddenSeed) -> LfsrBank:

@@ -15,6 +15,7 @@ bit read from a byte is its bit 0.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,29 +59,32 @@ def _accepted(xofs, width: int, keep: int, bound: int, need: int) -> np.ndarray:
     """Per XOF, the first `need` values below `bound`; an (len(xofs), need) array.
 
     Each value is a width-bit LSB-first field of the digest cut to its low
-    `keep` bits.  The field starting at bit t is the little-endian 64-bit
-    word at byte t // 8 shifted right by t % 8; t % 8 + width <= 64 holds
-    because no width exceeds 32 bits: validate keeps q below 2^26, so a
-    matrix read is at most 4 bytes, and a secret read of bitlen(2*eta)
-    bits is no wider since 2*eta < q.  The words at every byte offset are
-    one overlapping view of the digest, so the read is exact integer
-    arithmetic with no per-bit array.  The first read covers the expected
-    number of draws plus slack; a digest that yields too few values is read
-    again at twice the length.  A shorter shake_256 digest is a prefix of
-    every longer one, so the values equal those of a reader that takes one
-    field at a time.
+    `keep` bits.  The digest is read in groups of lcm(width, 8) bits, whole
+    bytes holding whole fields: one overlapping view holds the
+    little-endian 64-bit words at each byte of every group, and the field
+    starting t bits into a group is the word at byte t // 8 shifted right
+    by t % 8.  t % 8 + width <= 64 holds because no width exceeds 32 bits:
+    validate keeps q below 2^26, so a matrix read is at most 4 bytes, and a
+    secret read of bitlen(2*eta) bits is no wider since 2*eta < q.  So the
+    read is exact integer arithmetic with no per-bit array.  The first read
+    covers the expected number of draws plus slack; a digest that yields
+    too few values is read again at twice the length.  A shorter shake_256
+    digest is a prefix of every longer one, so the values equal those of a
+    reader that takes one field at a time.
     """
+    group = math.lcm(width, 8)
+    starts = np.arange(0, group, width, dtype=np.uint64)
     draws = (need << keep) // bound + need // 16
-    draws += -draws % 8  # whole bytes per digest: no field straddles two XOFs
+    draws += -draws % 8  # whole bytes per digest: no group straddles two XOFs
     while True:
         raw = b"".join(x.digest(draws * width // 8) for x in xofs)
-        words = np.ndarray(len(raw), "<u8", raw + bytes(7), strides=(1,))
-        starts = np.arange(0, 8 * len(raw), width, dtype=np.uint64)
-        fields = (words[starts >> 3] >> (starts & 7)) & ((1 << keep) - 1)
-        fields = fields.astype(np.int64).reshape(len(xofs), draws)
-        ok = fields < bound
-        if ok.sum(axis=1).min() >= need:
-            return fields[ok & (ok.cumsum(axis=1) <= need)].reshape(len(xofs), need)
+        words = np.ndarray((8 * len(raw) // group, group // 8), "<u8", raw + bytes(7),
+                           strides=(group // 8, 1))
+        fields = (words[:, starts >> 3] >> (starts & 7)) & ((1 << keep) - 1)
+        rows = fields.view(np.int64).reshape(len(xofs), draws)
+        picked = [row[row < bound][:need] for row in rows]
+        if min(len(v) for v in picked) == need:
+            return np.array(picked)
         draws *= 2
 
 
@@ -108,7 +112,8 @@ def sample_secret(ent: EntropyInput, p: Params = None) -> np.ndarray:
     p = p or default_params()
     k = (2 * p.eta).bit_length()
     v = _accepted([_xof(ent, bytes([LABEL_SECRET]))], k, k, 2 * p.eta + 1, p.n * p.degree)
-    return ((v - p.eta) % p.q).reshape(p.n, p.degree)
+    # read v stands for v - eta mod q; one lookup is cheaper than a modulo
+    return ((np.arange(2 * p.eta + 1) - p.eta) % p.q)[v].reshape(p.n, p.degree)
 
 
 def sample_error(ent: EntropyInput, p: Params = None) -> np.ndarray:

@@ -1,9 +1,33 @@
+import faulthandler
+import os
+
 import numpy as np
 import pytest
 
 from lwerng.lwe_hiding import _SAMPLE_ROWS, _distinguisher_hits
 from lwerng.params import Params, default_params
 from lwerng.sampling import EntropyInput
+
+
+# far above the slowest test (criterion 05: ~14 s, ~30 s on a busy host)
+HANG_LIMIT_S = 300
+_HANG_DUMP_FD = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # a copy of stderr taken while output capture is off, so that the hang
+    # guard's tracebacks reach the terminal
+    config.stash[_HANG_DUMP_FD] = os.dup(2)
+
+
+@pytest.fixture(autouse=True)
+def hang_guard(request):
+    """Turn a hung test into a failed run: past the limit, dump every
+    thread's traceback and exit the interpreter."""
+    faulthandler.dump_traceback_later(HANG_LIMIT_S, exit=True,
+                                      file=request.config.stash[_HANG_DUMP_FD])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,10 @@
 import json
 import os
+import types
 
 import pytest
 
+from lwerng import cli
 from lwerng.cli import bench_rates, main
 from lwerng.sampling import EntropyInput
 from lwerng.stats import TestReport, run_battery
@@ -336,3 +338,11 @@ def test_bench_json(capsys):
 def test_bench_rates_function():
     rates = bench_rates(EntropyInput(bytes(32)), 100_000, 2)
     assert len(rates) == 2 and all(r > 0 for r in rates)
+
+
+def test_bench_rates_formula(monkeypatch):
+    # a stubbed clock gives each run an exact binary duration: 125000 bits in
+    # 1/16 s and in 1/8 s are 2 and 1 decimal Mbit/s
+    ticks = iter([1.0, 1.0625, 2.0, 2.125])
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+    assert bench_rates(EntropyInput(bytes(32)), 15_625, 2) == [2.0, 1.0]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lwerng.errors import DegenerateState
-from lwerng.lfsr import _RECORD, LfsrBank, _feed, initialize
+from lwerng.lfsr import LfsrBank, _feed, _gather, initialize
 from lwerng.lwe_hiding import HiddenSeed, hide
 from lwerng.params import Params
 
@@ -197,13 +197,14 @@ def test_step_zero_word(params):
 @pytest.mark.parametrize("regs", [[5, 6, 7, 2 << 32], [5, 6, 7, 0xFFFFFFFF], [5, 6, 7, 0]],
                          ids=["zero_word", "full_word", "zero_master"])
 def test_walk_takes_one_step_for_nothing_needed(params, regs):
-    # one record and one cursor move, whatever the word; a zero word's record
-    # is all zero
+    # one step entry and one cursor move, whatever the word; a zero word's
+    # entry is 0 and gathers to no bits
     bank = LfsrBank.from_state(params, regs=regs, mask=0)
-    records = bank._walk(0)
-    assert len(records) == _RECORD // 8
+    slaves, words = bank._walk(0)
+    assert len(words) == 8
     assert bank.coeff_cursor == 1
-    assert (not any(records)) == (regs[3] & 0xFFFFFFFF == 0)
+    assert (not any(words)) == (regs[3] & 0xFFFFFFFF == 0)
+    assert (_gather(slaves, words).size == 0) == (not any(words))
 
 
 def test_step_single_bit_word(params):
@@ -225,6 +226,29 @@ def test_step_full_word_bit_count(params):
     expected_regs, cursor, expected_v, _ = int_step(regs, 0)
     assert v == expected_v
     assert bank.regs == expected_regs and bank.coeff_cursor == cursor
+
+
+def test_peak_read_across_two_blocks(params):
+    # a step whose pop S ends in the last 32 bits of a 256-bit block reads its
+    # peak from that block and the next; S in (224, 256) and (480, 512) ends
+    # there from a fresh walk, the second after one whole block
+    rng = random.Random(118)
+    cases = {False: 0, True: 0}
+    while min(cases.values()) < 20:
+        w = rng.getrandbits(32)
+        if cases[True] < cases[False]:
+            # each bit set with probability 7/8: S > 480 is then common
+            w |= rng.getrandbits(32) | rng.getrandbits(32)
+        s = _feed(w)[1]
+        if s % 256 <= 224:
+            continue
+        cases[s > 256] += 1
+        regs = [rng.getrandbits(256) for _ in range(3)] + [rng.getrandbits(224) << 32 | w]
+        bank = LfsrBank.from_state(params, regs=regs, mask=0)
+        v, nbits = bank.step()
+        expected_regs, cursor, expected_v, expected_nbits = int_step(regs, 0)
+        assert (v, nbits) == (expected_v, expected_nbits), hex(w)
+        assert bank.regs == expected_regs and bank.coeff_cursor == cursor, hex(w)
 
 
 def chunk_loop(w):

@@ -149,12 +149,16 @@ def test_reseed_derivation_distinct(ent_zero):
     assert derive_reseed_entropy(ent_zero, 1) == e1
 
 
-@pytest.mark.parametrize("which", ["params", "toy_params", "eta2", "eta3", "widest_q"])
+@pytest.mark.parametrize("which", ["params", "toy_params", "eta2", "eta3", "eta4", "eta8",
+                                   "eta128", "q97", "widest_q"])
 def test_samplers_match_sequential_reference(which, request):
-    # eta = 2 and 3 accept 5/8 and 7/8 of the 3-bit secret reads; widest_q
+    # eta = 2 and 3 accept 5/8 and 7/8 of the 3-bit secret reads; eta = 4, 8
+    # and 128 read 4-, 5- and 9-bit fields, two per byte, eight per 40-bit
+    # group and eight per 72-bit group; q97 makes 8-bit matrix reads; widest_q
     # reads 25-bit fields through 32-bit reads, the widest fields any
     # admitted ring has (degree 16 admits q < 2^25)
-    p = {"eta2": Params(eta=2), "eta3": Params(eta=3),
+    p = {"eta2": Params(eta=2), "eta3": Params(eta=3), "eta4": Params(eta=4),
+         "eta8": Params(eta=8), "eta128": Params(eta=128), "q97": Params(q=97, degree=16),
          "widest_q": Params(q=33554273, degree=16)}.get(which)
     if p is None:
         p = request.getfixturevalue(which)

@@ -1,15 +1,18 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
-from lwerng.lfsr import initialize
+from lwerng import stream
+from lwerng.errors import DegenerateState
+from lwerng.lfsr import LfsrBank, initialize
 from lwerng.lwe_hiding import hide
 from lwerng.sampling import EntropyInput, derive_reseed_entropy
 from lwerng.stream import DEFAULT_RESEED_INTERVAL, Generator
 
 from conftest import fixed_ent
-from oracles import IntBank, int_emit
+from oracles import MASK_BITS, IntBank, int_emit
 
 
 def test_determinism_ten_million_bits(ent_zero):
@@ -124,3 +127,68 @@ def test_output_not_trivially_biased(ent_zero):
     data = Generator(ent_zero).next_bytes(125_000)
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
     assert abs(bits.mean() - 0.5) < 0.01
+
+
+def dying_bank(params):
+    """The rng(19) state of test_lfsr: its master empties after 18 raw bits."""
+    rng = random.Random(19)
+    return LfsrBank.from_state(params, regs=[rng.getrandbits(256) for _ in range(3)] + [0b101],
+                               mask=rng.getrandbits(MASK_BITS))
+
+
+def packed(bits):
+    return np.packbits(bits, bitorder="little").tobytes()
+
+
+def test_failed_read_keeps_its_bits(ent_zero, params, monkeypatch):
+    # with 8-bit segments, next_bytes(3) takes two segments before the third
+    # meets the empty master; a retry reads the bits a fresh run gives
+    monkeypatch.setattr(stream, "_EMIT_CHUNK_BITS", 8)
+    fresh = packed(dying_bank(params).emit_bits(16))
+    gen = Generator(ent_zero, params, reseed_interval=0)
+    gen.bank = dying_bank(params)
+    with pytest.raises(DegenerateState):
+        gen.next_bytes(3)
+    assert gen.bits_emitted == 0
+    assert gen.next_bytes(2) == fresh
+    assert gen.bits_emitted == 16
+    with pytest.raises(DegenerateState):
+        gen.next_bytes(1)
+
+
+def test_failed_reseed_keeps_the_epoch(ent_zero, monkeypatch):
+    # the first reseed's fill fails once; the failed read returns nothing and
+    # the retry gives epoch 0 and then epoch 1, as a fresh run does
+    fresh = Generator(ent_zero, reseed_interval=64).next_bytes(24)
+    gen = Generator(ent_zero, reseed_interval=64)
+    fills = []
+
+    def fail_once(hs):
+        fills.append(hs)
+        if len(fills) == 1:
+            raise DegenerateState("injected")
+        return initialize(hs)
+
+    monkeypatch.setattr(stream, "initialize", fail_once)
+    with pytest.raises(DegenerateState):
+        gen.next_bytes(8)
+    assert (gen.generation, gen.bits_emitted) == (0, 0)
+    assert gen.next_bytes(8) + gen.next_bytes(16) == fresh
+    assert gen.generation == 3
+
+
+def test_failed_read_after_a_reseed_restores_the_epoch(ent_zero, params, monkeypatch):
+    # every reseed fills the dying bank: a read across the boundary fails on
+    # every retry, and a read that stops short gives what a fresh run gives
+    gen = Generator(ent_zero, params, reseed_interval=64)
+    epoch0 = Generator(ent_zero, params, reseed_interval=0).next_bytes(8)
+    monkeypatch.setattr(stream, "initialize", lambda hs: dying_bank(params))
+    for _ in range(2):
+        with pytest.raises(DegenerateState):
+            gen.next_bytes(24)
+        assert (gen.generation, gen.bits_emitted) == (0, 0)
+    assert gen.next_bytes(8) == epoch0
+    with pytest.raises(DegenerateState):
+        gen.next_bytes(16)
+    assert (gen.generation, gen.bits_emitted) == (1, 0)
+    assert gen.next_bytes(2) == packed(dying_bank(params).emit_bits(16))
