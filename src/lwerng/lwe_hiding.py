@@ -167,18 +167,23 @@ _DISTINGUISHER_NAMES = ("coef_chi2", "serial_corr", "high_bit_weight")
 def _distinguisher_hits(samples: np.ndarray, q: int) -> dict:
     """Vectorized battery over samples of shape (T, coeffs); returns hit counts."""
     t_count, width = samples.shape
-    # chi-square of the coefficients against uniform over 16 equal bins
-    bins = samples * 16 // q
-    flat = (np.arange(t_count, dtype=np.int64)[:, None] * 16 + bins).ravel()
-    counts = np.bincount(flat, minlength=t_count * 16).reshape(t_count, 16)
+    # chi-square of the coefficients against uniform over 16 equal bins; the
+    # bin index floor(16c/q) plus 16 per row is built in one fresh array
+    flat = samples * 16
+    flat //= q
+    flat += np.arange(0, 16 * t_count, 16, dtype=np.int64)[:, None]
+    counts = np.bincount(flat.ravel(), minlength=t_count * 16).reshape(t_count, 16)
     expected = width / 16
     chi2 = ((counts - expected) ** 2 / expected).sum(axis=1)
     chi2_hits = chi2 > _CHI2_15_MEDIAN
 
-    # sign of the lag-1 serial correlation of centered coefficients
-    centered = samples.astype(np.float64) - (q - 1) / 2.0
-    corr_num = (centered[:, :-1] * centered[:, 1:]).sum(axis=1)
-    corr_hits = corr_num > 0
+    # sign of the lag-1 serial correlation of the coefficients centred on
+    # (q - 1)/2, summed exactly in int64: each product is at most
+    # ((q - 1)/2)^2 and a row has fewer than _SAMPLE_ROWS * degree of them,
+    # so |sum| < degree * (q - 1)^2 < 2^54 for every ring `validate` admits.
+    # A sum of exactly 0 is no hit.
+    centred = samples - (q - 1) // 2
+    corr_hits = np.einsum("ij,ij->i", centred[:, :-1], centred[:, 1:]) > 0
 
     # Hamming weight of the per-coefficient high bit, 1 iff q/4 < c < 3q/4:
     # q is odd, so neither bound is an integer and that is bins 4 to 11
@@ -223,30 +228,41 @@ def _hiding_batch(rng, t: int, p: Params) -> np.ndarray:
     q = p.q
     d = p.degree
     # centred secret in [-eta, eta]: ntt is exact for |x| < q, so no % q
-    s = rng.integers(0, 2 * p.eta + 1, size=(t, p.n, d), dtype=np.int64) - p.eta
+    s = rng.integers(0, 2 * p.eta + 1, size=(t, p.n, d), dtype=np.int64)
+    s -= p.eta
     s_hat = polyring.ntt(s, p)
-    b_hat = np.zeros((t, _SAMPLE_ROWS, d), dtype=np.int64)
+    b_hat = np.empty((t, _SAMPLE_ROWS, d), dtype=np.int64)
     # Entries are drawn one at a time, row by row; that order fixes the
-    # output for a seed.  A row's n products, each below q^2 < 2^52, are
-    # summed unreduced and reduced once, as in mat_vec_mul: validate's
-    # n <= 256 keeps the sum below 2^60.  One accumulator lives across the
-    # rows: variants that freed it per row, or held a whole row of entries,
-    # ran the `distinguish` benchmark workload up to 20% slower (glibc heap
-    # trimming).
+    # output for a seed.  Each entry is multiplied by its secret polynomial
+    # in its own fresh buffer.  A row's n products, each below q^2 < 2^52,
+    # are summed unreduced and reduced once by polyring.reduce_mod, as in
+    # mat_vec_mul: validate's n <= 256 keeps the sum below 2^60.  One
+    # accumulator lives across the rows: variants that freed it per row, or
+    # held a whole row of entries, ran the `distinguish` benchmark workload
+    # up to 20% slower (glibc heap trimming).
+    acc = np.empty((t, d), dtype=np.int64)
     for i in range(_SAMPLE_ROWS):
-        acc = np.zeros((t, d), dtype=np.int64)
+        acc.fill(0)
         for j in range(p.n):
             a_ij = rng.integers(0, q, size=(t, d), dtype=np.int64)
-            acc += a_ij * s_hat[:, j, :]
-        b_hat[:, i, :] = acc % q
+            acc += np.multiply(a_ij, s_hat[:, j, :], out=a_ij)
+        b_hat[:, i, :] = polyring.reduce_mod(acc, q)
     b = polyring.inv_ntt(b_hat, p)
     shape = (t, _SAMPLE_ROWS, d)
-    e = _binomial(rng, shape, p.eta) - _binomial(rng, shape, p.eta)
+    e = _binomial(rng, shape, p.eta)
+    e -= _binomial(rng, shape, p.eta)
     r = rng.integers(0, 2, size=shape, dtype=np.int64)
     return _combine(b, e, r, p).reshape(t, _SAMPLE_ROWS * d)
 
 
 def _binomial(rng, shape, eta: int) -> np.ndarray:
-    """Sums of eta fair bits, one per entry of `shape`."""
-    return rng.integers(0, 2, size=shape + (eta,), dtype=np.int64).sum(axis=-1)
+    """Sums of eta fair bits, one per entry of `shape`.
 
+    The bits are summed into the view of their first column, so at eta = 1
+    the sum costs no pass; the result may be a strided view of the draw.
+    """
+    bits = rng.integers(0, 2, size=shape + (eta,), dtype=np.int64)
+    total = bits[..., 0]
+    for k in range(1, eta):
+        total += bits[..., k]
+    return total

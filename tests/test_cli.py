@@ -170,6 +170,14 @@ def test_scatter_csv(tmp_path, capsys):
     assert len(lines) == 101
 
 
+def test_scatter_count_defaults_to_a_million(tmp_path, monkeypatch):
+    counts = []
+    monkeypatch.setattr(cli, "scatter_indexes", lambda gen, count: counts.append(count) or [])
+    monkeypatch.setattr(cli, "write_scatter_csv", lambda indexes, out: None)
+    assert main(["scatter", "--seed-hex", SEED, "--out", str(tmp_path / "sc.csv")]) == 0
+    assert counts == [1_000_000]
+
+
 def test_distinguish_command(capsys):
     code, out, _ = run(["distinguish", "--trials", "1000",
                         "--mode", "uniform_vs_uniform"], capsys)

@@ -181,9 +181,17 @@ def test_distinguisher_hits_match_scalar_oracle(q):
     boundary = ([0, q - 1, q // 4, q // 4 + 1, 3 * q // 4, 3 * q // 4 + 1]
                 + edges + [e - 1 for e in edges])
     rng = np.random.default_rng(q)
+    mid = (q - 1) // 2
     for width in (64, 37):
+        # rows of mid with exact centred lag-1 sums 0, +1 and -1: a tie is no hit
+        ties = np.full((3, width), mid, dtype=np.int64)
+        ties[0, 10] = mid + 1
+        ties[1, 10:12] = mid + 1
+        ties[2, 10:12] = mid + 1, mid - 1
+        assert [_distinguisher_hits(row[None], q)["serial_corr"] for row in ties] == [0, 1, 0]
         rows = np.array([[c] * width for c in boundary]
-                        + [rng.choice(boundary, size=width) for _ in range(200)],
+                        + [rng.choice(boundary, size=width) for _ in range(200)]
+                        + ties.tolist(),
                         dtype=np.int64)
         hits = _distinguisher_hits(rows, q)
         assert hits == distinguisher_hits_oracle(rows, q)

@@ -268,3 +268,17 @@ def test_mat_vec_widest_row_sums_exactly():
     mat = [[near_max_hat(rng, p) for _ in range(p.n)]]
     s = [near_max_hat(rng, p) for _ in range(p.n)]
     assert pr.mat_vec_mul(mat, s, p).tolist() == loop_mat_vec(mat, s, p.q)
+
+
+@pytest.mark.parametrize("q", [17, 257, 8380417])
+def test_reduce_mod_matches_remainder(q):
+    rng = np.random.default_rng(q)
+    wide = rng.integers(-(1 << 62), 1 << 62, size=4096, dtype=np.int64)
+    edges = np.array([0, 1, -1, q - 1, -(q - 1), q, -q, 2 * q, -2 * q, 3 * q + 1,
+                      -(3 * q) - 1, q * (((1 << 62) - 1) // q), -q * ((1 << 62) // q)],
+                     dtype=np.int64)
+    for x in (wide, edges):
+        expected = x % q
+        out = pr.reduce_mod(x, q)
+        assert out is x  # reduced in place, in the array it was given
+        assert np.array_equal(x, expected)
