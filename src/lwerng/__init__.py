@@ -12,7 +12,7 @@ from .errors import (
     InvalidModulus,
     LwerngError,
 )
-from .lfsr import LfsrBank, initialize
+from .lfsr import BankState, LfsrBank, initialize
 from .lwe_hiding import (
     AdvantageReport,
     HiddenSeed,
@@ -35,6 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdvantageReport",
+    "BankState",
     "DEFAULT_RESEED_INTERVAL",
     "DegenerateState",
     "DimensionMismatch",

@@ -67,14 +67,17 @@ and x3^W, and emission runs in two phases:
      the raw bits are gathered.  `emit_bits` whitens them against the mask
      tiled from `mask_cursor` (raw bit g meets mask bit g mod mask_bits,
      whatever the step boundaries) and hands them on as a bit array; the
-     stream packs them into bytes.
+     stream packs them into bytes.  Bits past the request stay pending; a
+     `BankState` includes them, so a bank built from it continues exactly.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateState
 from .lwe_hiding import HiddenSeed
-from .params import Params, default_params
+from .params import Params
 
 _M32 = 0xFFFFFFFF
 _WORD_BITS = 32  # one coefficient's word in the fill
@@ -196,53 +199,75 @@ def _mask_width(p: Params) -> int:
     return width
 
 
-class LfsrBank:
-    """Mutable register bank; exclusive access required while stepping."""
+@dataclass(frozen=True)
+class BankState:
+    """A bank between reads: registers L1..L4, mask, cursors and pending bits.
 
-    def __init__(self, params: Params, regs, mask: int, coeff_cursor: int = 0,
-                 mask_cursor: int = 0):
+    `pending` is the whitened bits stepped out but not yet read, one byte per
+    bit.  A walk overshoots its read by up to one step, so only with them does
+    `LfsrBank(params, state)` continue the stream bit for bit.
+    """
+
+    regs: tuple
+    mask: int
+    coeff_cursor: int = 0
+    mask_cursor: int = 0
+    pending: bytes = b""
+
+
+class LfsrBank:
+    """Mutable register bank; exclusive access required while stepping.
+
+    Its BankState enters by the constructor only and leaves by `state()`."""
+
+    def __init__(self, params: Params, state: BankState):
         """Raises DegenerateState if params leave no mask words.
 
         Raises ValueError on state the machine cannot hold: other than four
-        registers, or a register, the mask or a cursor outside its width.
+        registers, or a register, mask, cursor or pending bit out of range.
         """
         mask_bits = _mask_width(params)
-        regs = list(regs)
+        regs, mask = list(state.regs), state.mask
         if len(regs) != _REGS:
             raise ValueError(f"{len(regs)} registers, not {_REGS}")
         if not all(0 <= r <= _REG_MASK for r in regs):
             raise ValueError(f"registers must lie in [0, 2^{_REG_BITS})")
         if not 0 <= mask < 1 << mask_bits:
             raise ValueError(f"mask must lie in [0, 2^{mask_bits})")
-        if not 0 <= coeff_cursor < _CURSORS:
-            raise ValueError(f"coeff_cursor={coeff_cursor} is not in [0, {_CURSORS})")
-        if not 0 <= mask_cursor < mask_bits:
-            raise ValueError(f"mask_cursor={mask_cursor} is not in [0, {mask_bits})")
+        if not 0 <= state.coeff_cursor < _CURSORS:
+            raise ValueError(f"coeff_cursor={state.coeff_cursor} is not in [0, {_CURSORS})")
+        if not 0 <= state.mask_cursor < mask_bits:
+            raise ValueError(f"mask_cursor={state.mask_cursor} is not in [0, {mask_bits})")
+        if state.pending.translate(None, b"\0\1"):
+            raise ValueError("pending bits must be 0 or 1")
         self.params = params
         self.mask_bits = mask_bits
         self.regs = regs
         self.mask = mask
-        self.coeff_cursor = coeff_cursor
-        self.mask_cursor = mask_cursor
-        # whitened bits stepped out but not yet read, one uint8 per bit
-        self._buf = np.empty(0, np.uint8)
+        self.coeff_cursor = state.coeff_cursor
+        self.mask_cursor = state.mask_cursor
+        self._buf = np.frombuffer(state.pending, np.uint8).copy()
         # the mask as one uint8 per bit, mask bit 0 first
         self._mask_unpacked = np.unpackbits(
             np.frombuffer(mask.to_bytes(mask_bits // 8, "little"), np.uint8),
             bitorder="little")
 
-    # -- construction ------------------------------------------------------
+    def state(self) -> BankState:
+        """The bank's state now, pending bits included."""
+        return BankState(tuple(self.regs), self.mask, self.coeff_cursor, self.mask_cursor,
+                         self._buf.tobytes())
 
     @classmethod
-    def from_state(cls, params=None, regs=(0, 0, 0, 0), mask=0,
-                   coeff_cursor=0, mask_cursor=0) -> "LfsrBank":
-        """Direct state injection, for tests and tracing."""
-        return cls(params or default_params(), regs, mask, coeff_cursor, mask_cursor)
+    def from_state(cls, params, regs, mask, coeff_cursor, mask_cursor) -> "LfsrBank":
+        """The constructor as the frozen harness calls it; goes with ROADMAP item 1."""
+        return cls(params, BankState(regs, mask, coeff_cursor, mask_cursor))
 
     # -- stepping ----------------------------------------------------------
 
     def step(self):
-        """One full governing-word cycle; returns raw (value, nbits), LSB-first."""
+        """One full governing-word cycle; returns raw (value, nbits), LSB-first.
+
+        Kept for the frozen harness's step probe; goes with ROADMAP item 1."""
         raw = _gather(*self._walk(0))
         return int.from_bytes(np.packbits(raw, bitorder="little"), "little"), raw.size
 
@@ -325,10 +350,6 @@ class LfsrBank:
         self._buf = buf[nbits:]
         return buf[:nbits]
 
-    def unread(self, bits: np.ndarray):
-        """Put bits that emit_bits returned back in front of the buffer."""
-        self._buf = np.concatenate((bits, self._buf))
-
 
 def initialize(hs: HiddenSeed) -> LfsrBank:
     """Fill the bank from the designated polynomial, the hidden seed's b.
@@ -343,14 +364,13 @@ def initialize(hs: HiddenSeed) -> LfsrBank:
     p = hs.params
     _mask_width(p)  # before the fill: a shorter polynomial cannot fill it
     coeffs = hs.b
-    try:
-        words = np.array(coeffs, "<u4")
-        valid = words.shape == (p.degree,) and words.max() < p.q
-    except OverflowError:  # a coefficient below 0 or above 2^32 - 1
-        valid = False
-    if not valid:
+    words = np.array(coeffs)
+    # an integer dtype first: a cast would truncate floats and parse strings
+    if not (words.dtype.kind in "iu" and words.shape == (p.degree,)
+            and words.min() >= 0 and words.max() < p.q):
         raise ValueError(
             f"designated polynomial must be {p.degree} coefficients in [0, {p.q})")
+    words = words.astype("<u4")
 
     # coefficient index of each register word, round by round
     fill = [[reg] for reg in range(_REGS)]
@@ -362,9 +382,9 @@ def initialize(hs: HiddenSeed) -> LfsrBank:
             fill[reg].append(4 * rnd + k)
 
     # words[fill] is the (4, 8) array of register words, word 0 first
-    regs = [int.from_bytes(row.tobytes(), "little") for row in words[fill]]
+    regs = tuple(int.from_bytes(row.tobytes(), "little") for row in words[fill])
     mask = int.from_bytes(words[_FILL_WORDS:].tobytes(), "little")
 
     if regs[3] == 0:
         raise DegenerateState("master register filled with all zeros")
-    return LfsrBank(p, regs, mask)
+    return LfsrBank(p, BankState(regs, mask))

@@ -50,28 +50,16 @@ def hide(ent: EntropyInput, p: Params = None) -> HiddenSeed:
     prod = polyring.mat_vec_mul(expand_matrix(ent, p), sample_secret(ent, p), p)[0]
     e = sample_error(ent, p)
     r = seed_payload(ent, p)
-    # a list of ints, as HiddenSeed documents: callers compare b with ==;
-    # e is reduced, so e - q in [-q, 0) keeps the sum in _combine's range
-    return HiddenSeed(b=_combine(prod, e - p.q, r, p).tolist(), params=p)
+    # a list of ints, as HiddenSeed documents: callers compare b with ==
+    return HiddenSeed(b=_combine(prod, e, r, p).tolist(), params=p)
 
 
 def _combine(prod, e, r, p: Params) -> np.ndarray:
-    """prod + e + r*floor(q/2) mod q, elementwise over int64 arrays of one shape.
-
-    The sum must lie in [-q, 2q), as it does for a reduced prod, r in {0, 1}
-    and e in [-q, q - floor(q/2)).  Two compare-and-adds reduce it: as
-    uint64 a negative x is above 2^63, so min(x, x + q) adds q to exactly
-    the negative entries and min(x, x - q) subtracts it from those >= q.
-    """
+    """prod + e + r*floor(q/2) mod q, elementwise over int64 arrays of one shape."""
     x = r * (p.q // 2)
     x += prod
     x += e
-    shifted = x + p.q
-    xu, su = x.view(np.uint64), shifted.view(np.uint64)
-    np.minimum(xu, su, out=xu)
-    np.subtract(x, p.q, out=shifted)
-    np.minimum(xu, su, out=xu)
-    return x
+    return polyring.reduce_mod(x, p.q)
 
 
 # --- distinguishing experiment -------------------------------------------

@@ -43,39 +43,29 @@ class Generator:
         """The next nbytes of the stream; chunked reads concatenate exactly.
 
         A read that raises DegenerateState leaves the generator as it was:
-        the bits it took from the bank it started on go back into that
-        bank's buffer, and the epoch and its count are restored.  The bits
-        of any later epoch are rebuilt from the seed.
+        it restores the bank's state on entry, pending bits included, and
+        the epoch and its count; a retry rebuilds later epochs from the seed.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
         need = 8 * nbytes
         parts = []
-        # the < 8 bits of a segment that ended mid-byte at a reseed boundary
-        carry = np.empty(0, np.uint8)
-        bank, generation, emitted = self.bank, self.generation, self.bits_emitted
+        snapshot = self.bank.state(), self.generation, self.bits_emitted
         try:
             while need > 0:
                 seg = min(need, _EMIT_CHUNK_BITS)
                 if self.reseed_interval > 0:
                     seg = min(seg, self.reseed_interval - self.bits_emitted)
-                bits = self.bank.emit_bits(seg)
+                parts.append(self.bank.emit_bits(seg))
                 self.bits_emitted += seg
                 need -= seg
-                if carry.size:
-                    bits = np.concatenate((carry, bits))
-                whole = bits.size & ~7
-                parts.append(np.packbits(bits[:whole], bitorder="little").tobytes())
-                carry = bits[whole:]
                 if self.reseed_interval > 0 and self.bits_emitted == self.reseed_interval:
                     self._reseed()
         except DegenerateState:
-            taken = 8 * nbytes - need if self.bank is bank else self.reseed_interval - emitted
-            bits = np.unpackbits(np.frombuffer(b"".join(parts), np.uint8), bitorder="little")
-            bank.unread(np.concatenate((bits, carry))[:taken])
-            self.bank, self.generation, self.bits_emitted = bank, generation, emitted
+            state, self.generation, self.bits_emitted = snapshot
+            self.bank = LfsrBank(self.params, state)
             raise
-        return b"".join(parts)
+        return np.packbits(np.concatenate(parts), bitorder="little").tobytes() if parts else b""
 
     def fork_with_new_entropy(self, ent: EntropyInput) -> "Generator":
         """Independent generator with fresh entropy, same configuration."""

@@ -17,7 +17,7 @@ import pytest
 
 from lwerng import polyring as pr
 from lwerng.cli import bench_rates
-from lwerng.lfsr import LfsrBank, initialize
+from lwerng.lfsr import BankState, LfsrBank, initialize
 from lwerng.lwe_hiding import distinguishing_experiment, hide
 from lwerng.params import default_params
 from lwerng.qkd import run_session
@@ -179,11 +179,11 @@ def test_criterion_07_output_count_law():
         ) + bin(word).count("1")
         _, width = bank.step()
         assert width == expected
-    zero_bank = LfsrBank.from_state(p, regs=[1, 2, 3, 5 << 32], mask=1)
+    zero_bank = LfsrBank(p, BankState([1, 2, 3, 5 << 32], 1))
     _, w_zero = zero_bank.step()
     rng = random.Random(7)
-    full_bank = LfsrBank.from_state(
-        p, regs=[rng.getrandbits(256) for _ in range(3)] + [0xFFFFFFFF], mask=1
+    full_bank = LfsrBank(
+        p, BankState([rng.getrandbits(256) for _ in range(3)] + [0xFFFFFFFF], 1)
     )
     _, w_full = full_bank.step()
     verdict(7, "output-count-law", w_zero == 0 and w_full == 1616,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lwerng.errors import DegenerateState
-from lwerng.lfsr import LfsrBank, _feed, _gather, initialize
+from lwerng.lfsr import BankState, LfsrBank, _feed, _gather, initialize
 from lwerng.lwe_hiding import HiddenSeed, hide
 from lwerng.params import Params
 
@@ -124,6 +124,13 @@ def test_no_mask_words_rejected():
         initialize(fake_seed(range(1, 17), Params(q=97, degree=16)))
 
 
+def counting_with(index, value):
+    """Coefficients 1..256 with one replaced."""
+    coeffs = list(range(1, 257))
+    coeffs[index] = value
+    return coeffs
+
+
 @pytest.mark.parametrize("coeffs", [
     list(range(1, 256)),
     list(range(1, 258)),
@@ -131,7 +138,12 @@ def test_no_mask_words_rejected():
     [-1] + list(range(1, 256)),
     [8380417] + list(range(1, 256)),
     [1 << 32] + list(range(1, 256)),
-], ids=["short", "long", "ten", "negative", "q", "two_to_32"])
+    counting_with(100, 1.5),
+    counting_with(30, 2.9),
+    counting_with(100, "7"),
+    counting_with(5, 3.0),
+], ids=["short", "long", "ten", "negative", "q", "two_to_32", "fraction", "fraction_in_fill",
+        "string", "integral_float"])
 def test_initialize_rejects_malformed_polynomial(params, coeffs):
     # a public HiddenSeed may carry any list; only degree coefficients in
     # [0, q) are a designated polynomial
@@ -158,7 +170,7 @@ def test_fill_bit_layout(params):
 def test_injected_state_without_mask_words_rejected():
     # injected state fails like initialize, not later in emit_bits
     with pytest.raises(DegenerateState):
-        LfsrBank.from_state(Params(q=193, degree=32), regs=(1, 1, 1, 1), mask=0)
+        LfsrBank(Params(q=193, degree=32), BankState((1, 1, 1, 1), 0))
 
 
 @pytest.mark.parametrize("state", [
@@ -173,20 +185,22 @@ def test_injected_state_without_mask_words_rejected():
     dict(coeff_cursor=-1),
     dict(mask_cursor=7168),
     dict(mask_cursor=-5),
+    dict(pending=b"\x01\x02"),
 ], ids=["three_regs", "five_regs", "master_wide", "slave_wide", "negative_reg",
         "mask_wide", "negative_mask", "coeff_cursor_8", "negative_coeff_cursor",
-        "mask_cursor_wraps", "negative_mask_cursor"])
+        "mask_cursor_wraps", "negative_mask_cursor", "pending_not_a_bit"])
 def test_injected_state_out_of_range_rejected(params, state):
     # state the machine cannot hold fails at injection, not somewhere in
     # emission; each case moves one field of an accepted state out of range
-    valid = dict(regs=(1, 2, 3, 4), mask=5, coeff_cursor=7, mask_cursor=7167)
-    LfsrBank.from_state(params, **valid)
+    valid = dict(regs=(1, 2, 3, 4), mask=5, coeff_cursor=7, mask_cursor=7167,
+                 pending=b"\x01\x00")
+    LfsrBank(params, BankState(**valid))
     with pytest.raises(ValueError):
-        LfsrBank.from_state(params, **{**valid, **state})
+        LfsrBank(params, BankState(**{**valid, **state}))
 
 
 def test_step_zero_word(params):
-    bank = LfsrBank.from_state(params, regs=[5, 6, 7, 2 << 32], mask=0)
+    bank = LfsrBank(params, BankState([5, 6, 7, 2 << 32], 0))
     regs_before = list(bank.regs)
     v, w = bank.step()
     assert (v, w) == (0, 0)
@@ -199,7 +213,7 @@ def test_step_zero_word(params):
 def test_walk_takes_one_step_for_nothing_needed(params, regs):
     # one step entry and one cursor move, whatever the word; a zero word's
     # entry is 0 and gathers to no bits
-    bank = LfsrBank.from_state(params, regs=regs, mask=0)
+    bank = LfsrBank(params, BankState(regs, 0))
     slaves, words = bank._walk(0)
     assert len(words) == 8
     assert bank.coeff_cursor == 1
@@ -209,7 +223,7 @@ def test_walk_takes_one_step_for_nothing_needed(params, regs):
 
 def test_step_single_bit_word(params):
     # w = 1: slaves shift 1 bit, master shifts 1 bit, 4 output bits total
-    bank = LfsrBank.from_state(params, regs=[0b10, 0b11, 0b01, 1], mask=0)
+    bank = LfsrBank(params, BankState([0b10, 0b11, 0b01, 1], 0))
     v, w = bank.step()
     assert w == 3 * 1 + 1
     # ejected LSBs: l1o=0, l2o=1, l3o=1, then l4o=1
@@ -220,7 +234,7 @@ def test_step_full_word_bit_count(params):
     # S = 528 pops take three FIFO moves: 256, 256 and 16 bits
     rng = random.Random(101)
     regs = [rng.getrandbits(256) for _ in range(3)] + [0xFFFFFFFF]
-    bank = LfsrBank.from_state(params, regs=regs, mask=0)
+    bank = LfsrBank(params, BankState(regs, 0))
     v, w = bank.step()
     assert w == 3 * sum(range(1, 33)) + 32 == 1616
     expected_regs, cursor, expected_v, _ = int_step(regs, 0)
@@ -244,7 +258,7 @@ def test_peak_read_across_two_blocks(params):
             continue
         cases[s > 256] += 1
         regs = [rng.getrandbits(256) for _ in range(3)] + [rng.getrandbits(224) << 32 | w]
-        bank = LfsrBank.from_state(params, regs=regs, mask=0)
+        bank = LfsrBank(params, BankState(regs, 0))
         v, nbits = bank.step()
         expected_regs, cursor, expected_v, expected_nbits = int_step(regs, 0)
         assert (v, nbits) == (expected_v, expected_nbits), hex(w)
@@ -322,8 +336,8 @@ def test_emit_zero_bits(params):
 def test_emit_with_zero_mask_equals_raw(params):
     rng = random.Random(106)
     regs = [rng.getrandbits(256) for _ in range(4)]
-    bank_a = LfsrBank.from_state(params, regs=regs, mask=0)
-    bank_b = LfsrBank.from_state(params, regs=regs, mask=0)
+    bank_a = LfsrBank(params, BankState(regs, 0))
+    bank_b = LfsrBank(params, BankState(regs, 0))
     raw_v, raw_w = bank_b.step()
     emitted = bank_a.emit_bits(raw_w)
     assert as_int(emitted) == raw_v
@@ -352,17 +366,17 @@ def test_emit_matches_reference_whitening(params):
 
 
 def test_emit_from_zero_master_raises(params):
-    bank = LfsrBank.from_state(params, regs=[1, 2, 3, 0], mask=1)
+    bank = LfsrBank(params, BankState([1, 2, 3, 0], 1))
     with pytest.raises(DegenerateState):
         bank.emit_bits(8)
 
 
 def test_degenerate_emit_keeps_buffered_bits(params):
     # one step empties the master: its 4 raw bits are buffered before the raise
-    state = dict(params=params, regs=(3, 0, 0, 1), mask=0)
-    raw_v, raw_w = LfsrBank.from_state(**state).step()
+    state = BankState((3, 0, 0, 1), 0)
+    raw_v, raw_w = LfsrBank(params, state).step()
     assert raw_w == 4
-    bank = LfsrBank.from_state(**state)
+    bank = LfsrBank(params, state)
     with pytest.raises(DegenerateState):
         bank.emit_bits(100)
     assert bank.regs[3] == 0
@@ -382,7 +396,7 @@ def test_emit_matches_int_emit_long(params):
         banks.append(initialize(fake_seed(coeffs, params)))
     rng = random.Random(116)
     regs = [rng.getrandbits(256) for _ in range(3)] + [rng.getrandbits(64) << 192]
-    banks.append(LfsrBank.from_state(params, regs=regs, mask=rng.getrandbits(MASK_BITS)))
+    banks.append(LfsrBank(params, BankState(regs, rng.getrandbits(MASK_BITS))))
     for k, bank in enumerate(banks):
         ref = IntBank(bank.regs, bank.mask)
         i = 0
@@ -403,7 +417,7 @@ def test_degenerate_inside_one_emit(params):
     rng = random.Random(19)
     state = dict(regs=[rng.getrandbits(256) for _ in range(3)] + [0b101],
                  mask=rng.getrandbits(MASK_BITS))
-    bank = LfsrBank.from_state(params, **state)
+    bank = LfsrBank(params, BankState(**state))
     ref = IntBank(**state)
     with pytest.raises(DegenerateState):
         bank.emit_bits(10_000)
@@ -427,12 +441,12 @@ def test_mask_cursor_wraps(params):
 
 
 def test_trace_record_and_format(params):
-    bank = LfsrBank.from_state(params, regs=[0b10, 0b11, 0b01, 1], mask=0)
+    bank = LfsrBank(params, BankState([0b10, 0b11, 0b01, 1], 0))
     assert bank.step() == (0b1110, 4)
     # every step, zero words included, emits what int_step does
     rng = random.Random(115)
     regs = [rng.getrandbits(256) for _ in range(3)] + [rng.getrandbits(64) << 192]
-    bank = LfsrBank.from_state(params, regs=regs, mask=0)
+    bank = LfsrBank(params, BankState(regs, 0))
     cursor = 0
     for _ in range(24):
         regs, cursor, ev, ew = int_step(regs, cursor)

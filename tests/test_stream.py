@@ -6,7 +6,7 @@ import pytest
 
 from lwerng import stream
 from lwerng.errors import DegenerateState
-from lwerng.lfsr import LfsrBank, initialize
+from lwerng.lfsr import BankState, LfsrBank, initialize
 from lwerng.lwe_hiding import hide
 from lwerng.sampling import EntropyInput, derive_reseed_entropy
 from lwerng.stream import DEFAULT_RESEED_INTERVAL, Generator
@@ -132,8 +132,8 @@ def test_output_not_trivially_biased(ent_zero):
 def dying_bank(params):
     """The rng(19) state of test_lfsr: its master empties after 18 raw bits."""
     rng = random.Random(19)
-    return LfsrBank.from_state(params, regs=[rng.getrandbits(256) for _ in range(3)] + [0b101],
-                               mask=rng.getrandbits(MASK_BITS))
+    return LfsrBank(params, BankState([rng.getrandbits(256) for _ in range(3)] + [0b101],
+                                      rng.getrandbits(MASK_BITS)))
 
 
 def packed(bits):
@@ -192,3 +192,32 @@ def test_failed_read_after_a_reseed_restores_the_epoch(ent_zero, params, monkeyp
         gen.next_bytes(16)
     assert (gen.generation, gen.bits_emitted) == (1, 0)
     assert gen.next_bytes(2) == packed(dying_bank(params).emit_bits(16))
+
+
+def test_failed_read_restores_pending_bits(ent_zero, params):
+    # next_bytes(1) leaves the rest of its last step pending; the failed read
+    # after it must restore them, so the retry reads on as a fresh run does
+    fresh = packed(dying_bank(params).emit_bits(16))
+    gen = Generator(ent_zero, params, reseed_interval=0)
+    gen.bank = dying_bank(params)
+    assert gen.next_bytes(1) == fresh[:1]
+    assert gen.bank.state().pending
+    with pytest.raises(DegenerateState):
+        gen.next_bytes(2)
+    assert gen.bits_emitted == 8
+    assert gen.next_bytes(1) == fresh[1:]
+
+
+@pytest.mark.parametrize("size", [1, 5, 4096])
+@pytest.mark.parametrize("interval", [0, DEFAULT_RESEED_INTERVAL])
+def test_copied_state_continues_the_stream(ent_zero, interval, size):
+    # a bank between reads holds pending bits; one built from its state emits
+    # what it would and reports the same state.  At the default interval the
+    # read ends inside epoch 1.
+    gen = Generator(ent_zero, reseed_interval=interval)
+    gen.next_bytes(interval // 8 + size)
+    bank = gen.bank
+    copy = LfsrBank(gen.params, bank.state())
+    assert copy.state() == bank.state() and bank.state().pending
+    assert np.array_equal(copy.emit_bits(10_000), bank.emit_bits(10_000))
+    assert copy.state() == bank.state()

@@ -12,7 +12,10 @@ It imports lwerng from the `src/` next to this file and hashes, in order:
 3. `ntt(x).tobytes()` and `inv_ntt(x).tobytes()` of 37 random rows in
    (-q, q) at the default ring and at q = 257 / n = 2 / degree = 64, drawn
    in that order from one `default_rng(9)`;
-4. 256 KiB of stream from `Generator(bytes([t + 1]) * 32)`, t = 0..3.
+4. 256 KiB of stream from `Generator(bytes([t + 1]) * 32)`, t = 0..3;
+5. for reseed interval 0 and then 1001 bits, one `Generator(bytes([9]) * 32)`
+   read in pieces of 1, 7, 4099 and 65536 bytes, that cycle three times, so
+   the reads end mid-step and, at 1001, cross reseeds in mid-byte.
 
 Two trees that print the same digest produce the same experiment hit counts,
 concealed seeds, transforms and stream bytes on these inputs.
@@ -51,6 +54,10 @@ def main() -> None:
         h.update(inv_ntt(x, p).tobytes())
     for t in range(4):
         h.update(Generator(EntropyInput(bytes([t + 1]) * 32)).next_bytes(262144))
+    for interval in (0, 1001):
+        gen = Generator(EntropyInput(bytes([9]) * 32), reseed_interval=interval)
+        for size in (1, 7, 4099, 65536) * 3:
+            h.update(gen.next_bytes(size))
     print(h.hexdigest())
 
 
