@@ -55,22 +55,28 @@ and x3^W, and emission runs in two phases:
      the step's stretch of W and S = sum of positions from per-byte tables,
      ORs the stretch into the block's W at the step's offset, moves the
      offset on by S (and the slaves on by a block each time it passes 256),
-     reads the peak at the new offset and updates the master.  It keeps each
-     block it enters and one 64-bit entry per step, w | l4o << 32 with l4o
-     the master's ejected bits.  Every step, a zero word's included, goes
-     through this one body; a zero word's entry is 0 and gathers to no bits.
-     `emit_bits` walks until its request is met and `step` walks one step.
+     reads the peak at the new offset and updates the master.  Each slave
+     keeps the blocks it enters in a list of its own, and the slaves advance
+     by in-place XORs.  Every step adds one 64-bit entry, w | l4o << 32 with
+     l4o the master's ejected bits, packed at the end as an array("Q").
+     Every step, a zero word's included, goes through this one body; a zero
+     word's entry is 0 and gathers to no bits.  `emit_bits` walks until its
+     request is met and `step` walks one step.
   2. One vectorised pass per batch (`_gather`): the three slave streams and
      the step entries are unpacked together, the run-gather index is built
      from the bits of each step's word (per position p, p bits of each slave
-     stream from where the step's pop begins; then the master's bits), and
-     the raw bits are gathered.  `emit_bits` whitens them against the mask
-     tiled from `mask_cursor` (raw bit g meets mask bit g mod mask_bits,
-     whatever the step boundaries) and hands them on as a bit array; the
-     stream packs them into bytes.  Bits past the request stay pending; a
-     `BankState` includes them, so a bank built from it continues exactly.
+     stream from where the step's pop begins; then the master's bits) as the
+     repeated run starts plus a shared, read-only arange, and the raw bits
+     are gathered.  `emit_bits` whitens them in place in three slices: the
+     rest of the mask from `mask_cursor`, the whole periods through a
+     (k, mask_bits) view, then a head of the mask.  So raw bit g meets mask
+     bit g mod mask_bits, whatever the step boundaries.  It hands them on as
+     a bit array, and the stream packs them into bytes.  Bits past the
+     request stay pending; a `BankState` includes them, so a bank built from
+     it continues exactly.
 """
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,6 +166,23 @@ def _run_tables():
 _RUNS = 3 * (_WORD_BITS + 1)
 _MASTER_RUN = _RUNS - 3
 _RUN_TABLE, _RUN_SLAVE = _run_tables()
+_BASE_QUANTUM = 1 << 12  # entries (32 KB); a one-step gather fits in one
+_BASE = np.arange(0)
+
+
+def _index_base(size: int) -> np.ndarray:
+    """The shared, read-only arange that every gather adds to its run starts.
+
+    It holds at least `size` entries.  A larger walk regrows it to the next
+    multiple of _BASE_QUANTUM, so it holds no more than the largest gather
+    of the process needed plus one quantum.  A 512 KB quantum cost a fresh
+    key a third more minor page faults (0.44 against 0.33 per key).
+    """
+    global _BASE
+    if _BASE.size < size:
+        _BASE = np.arange(-(-size // _BASE_QUANTUM) * _BASE_QUANTUM)
+        _BASE.flags.writeable = False
+    return _BASE
 
 
 def _gather(slaves: bytes, words: bytes) -> np.ndarray:
@@ -181,11 +204,11 @@ def _gather(slaves: bytes, words: bytes) -> np.ndarray:
     shift = ends[:, 1] - runs[:, -1]
     starts = runs[:, _RUNS:-2] + _RUN_SLAVE * span + shift[:, None]
     # the master's run reads its step's entry from bit 32, not a slave stream
-    entries = np.arange(3 * span, bits.size, 2 * _WORD_BITS)
-    starts[:, _MASTER_RUN] += entries + _WORD_BITS - ends[:, 0]
+    l4o = np.arange(3 * span + _WORD_BITS, bits.size, 2 * _WORD_BITS)
+    starts[:, _MASTER_RUN] += l4o - ends[:, 0]
     idx = np.repeat(starts.ravel(), runs[:, :_RUNS].ravel())
-    idx += np.arange(idx.size)
-    return bits[idx]
+    idx += _index_base(idx.size)[:idx.size]
+    return bits.take(idx)
 
 
 def _mask_width(p: Params) -> int:
@@ -224,12 +247,18 @@ class LfsrBank:
         """Raises DegenerateState if params leave no mask words.
 
         Raises ValueError on state the machine cannot hold: other than four
-        registers, or a register, mask, cursor or pending bit out of range.
+        registers, a register, mask or cursor that is not an int, pending
+        bits that are not bytes, or any of them out of range.
         """
         mask_bits = _mask_width(params)
         regs, mask = list(state.regs), state.mask
         if len(regs) != _REGS:
             raise ValueError(f"{len(regs)} registers, not {_REGS}")
+        if not all(isinstance(v, int) for v in (*regs, mask, state.coeff_cursor,
+                                                 state.mask_cursor)):
+            raise ValueError("registers, mask and cursors must be ints")
+        if not isinstance(state.pending, (bytes, bytearray)):
+            raise ValueError("pending bits must be bytes")
         if not all(0 <= r <= _REG_MASK for r in regs):
             raise ValueError(f"registers must lie in [0, 2^{_REG_BITS})")
         if not 0 <= mask < 1 << mask_bits:
@@ -282,7 +311,7 @@ class LfsrBank:
         """
         r1, r2, r3, l4 = self.regs
         cursor = self.coeff_cursor
-        blocks = []  # (x1, x2, x3) of each block the walk has entered
+        x1, x2, x3 = [], [], []  # each slave's blocks the walk has entered
         words = []
         wacc = o = got = 0  # W from the block's start; the offset in the block
         while True:
@@ -292,17 +321,25 @@ class LfsrBank:
             wacc |= feed << o
             o += s
             while o >= _REG_BITS:
-                blocks.append((r1, r2, r3))
-                r1, r2, r3 = r1 ^ r2, r2 ^ r3, r3 ^ (wacc & _REG_MASK)
+                x1.append(r1)
+                x2.append(r2)
+                x3.append(r3)
+                r1 ^= r2
+                r2 ^= r3
+                r3 ^= wacc & _REG_MASK
                 wacc >>= _REG_BITS
                 o -= _REG_BITS
             if o <= _REG_BITS - _WORD_BITS:
-                peak = max(r1 >> o & _M32, r2 >> o & _M32, r3 >> o & _M32)
+                p1, p2, p3 = r1 >> o & _M32, r2 >> o & _M32, r3 >> o & _M32
             else:
                 t = _REG_BITS - o
-                peak = max((r1 >> o | (r1 ^ r2) << t) & _M32,
-                           (r2 >> o | (r2 ^ r3) << t) & _M32,
-                           (r3 >> o | (r3 ^ wacc) << t) & _M32)
+                p1 = (r1 >> o | (r1 ^ r2) << t) & _M32
+                p2 = (r2 >> o | (r2 ^ r3) << t) & _M32
+                p3 = (r3 >> o | (r3 ^ wacc) << t) & _M32
+            # the peak by comparisons: a max() call costs more
+            peak = p1 if p1 > p2 else p2
+            if p3 > peak:
+                peak = p3
             c = w.bit_count()
             cmask = (1 << c) - 1
             l4o = l4 & cmask
@@ -311,16 +348,17 @@ class LfsrBank:
             got += 3 * s + c
             if got >= need or not l4:
                 break
-        blocks.append((r1, r2, r3))
+        x1.append(r1)
+        x2.append(r2)
+        x3.append(r3)
         # the registers are bits [o, o + 256) of this block and the next
         t = _REG_BITS - o
         self.regs = [(r1 >> o | (r1 ^ r2) << t) & _REG_MASK,
                      (r2 >> o | (r2 ^ r3) << t) & _REG_MASK,
                      (r3 >> o | (r3 ^ wacc) << t) & _REG_MASK, l4]
         self.coeff_cursor = cursor
-        slaves = b"".join([r.to_bytes(_REG_BITS // 8, "little")
-                           for stream in zip(*blocks) for r in stream])
-        return slaves, np.array(words, np.uint64).tobytes()
+        slaves = b"".join([r.to_bytes(_REG_BITS // 8, "little") for r in x1 + x2 + x3])
+        return slaves, array("Q", words).tobytes()
 
     # -- whitened emission -------------------------------------------------
 
@@ -338,10 +376,17 @@ class LfsrBank:
             # a zero master raises below before any step: the walk would still
             # advance the cursor, and int_emit does not
             raw = _gather(*self._walk(nbits - buf.size))
-            c = self.mask_cursor
-            reps = -(-(c + raw.size) // self.mask_bits)
-            raw ^= np.concatenate((self._mask_unpacked,) * reps)[c:c + raw.size]
-            self.mask_cursor = (c + raw.size) % self.mask_bits
+            mask, period, c = self._mask_unpacked, self.mask_bits, self.mask_cursor
+            # in place: the rest of the mask from the cursor, whole periods,
+            # then a head of the mask
+            rest = min(period - c, raw.size)
+            raw[:rest] ^= mask[c:c + rest]
+            if rest < raw.size:
+                k, tail = divmod(raw.size - rest, period)
+                whole = raw[rest:rest + k * period].reshape(k, period)
+                whole ^= mask
+                raw[rest + k * period:] ^= mask[:tail]
+            self.mask_cursor = (c + raw.size) % period
             buf = np.concatenate((buf, raw)) if buf.size else raw
             self._buf = buf
         if buf.size < nbits:

@@ -65,7 +65,10 @@ class Generator:
             state, self.generation, self.bits_emitted = snapshot
             self.bank = LfsrBank(self.params, state)
             raise
-        return np.packbits(np.concatenate(parts), bitorder="little").tobytes() if parts else b""
+        if not parts:
+            return b""
+        bits = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return np.packbits(bits, bitorder="little").tobytes()
 
     def fork_with_new_entropy(self, ent: EntropyInput) -> "Generator":
         """Independent generator with fresh entropy, same configuration."""

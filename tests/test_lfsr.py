@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from lwerng import lfsr
 from lwerng.errors import DegenerateState
 from lwerng.lfsr import BankState, LfsrBank, _feed, _gather, initialize
 from lwerng.lwe_hiding import HiddenSeed, hide
@@ -186,9 +187,16 @@ def test_injected_state_without_mask_words_rejected():
     dict(mask_cursor=7168),
     dict(mask_cursor=-5),
     dict(pending=b"\x01\x02"),
+    dict(regs=(1.5, 2, 3, 4)),
+    dict(mask=5.0),
+    dict(coeff_cursor=1.0),
+    dict(mask_cursor=2.0),
+    dict(pending="\x01"),
 ], ids=["three_regs", "five_regs", "master_wide", "slave_wide", "negative_reg",
         "mask_wide", "negative_mask", "coeff_cursor_8", "negative_coeff_cursor",
-        "mask_cursor_wraps", "negative_mask_cursor", "pending_not_a_bit"])
+        "mask_cursor_wraps", "negative_mask_cursor", "pending_not_a_bit",
+        "float_reg", "float_mask", "float_coeff_cursor", "float_mask_cursor",
+        "pending_str"])
 def test_injected_state_out_of_range_rejected(params, state):
     # state the machine cannot hold fails at injection, not somewhere in
     # emission; each case moves one field of an accepted state out of range
@@ -430,6 +438,55 @@ def test_degenerate_inside_one_emit(params):
     assert as_int(bank.emit_bits(ref.buflen)) == int_emit(ref, ref.buflen)
     with pytest.raises(DegenerateState):
         bank.emit_bits(1)
+
+
+def _steps_to_raw_end(regs, start, end):
+    """Raw bits of the first steps from `regs` that take mask cursor `start`
+    to `end` bits past a period boundary, or None within four periods."""
+    cursor = got = 0
+    while start + got < 4 * MASK_BITS:
+        regs, cursor, _, w = int_step(regs, cursor)
+        got += w
+        if start + got > MASK_BITS and (start + got - end) % MASK_BITS == 0:
+            return got
+    return None
+
+
+@pytest.mark.parametrize("end", [-1, 0, 1], ids=["before", "at", "after"])
+@pytest.mark.parametrize("start", [0, 1, MASK_BITS - 1], ids=["c0", "c1", "cP-1"])
+def test_emit_around_mask_period_boundary(params, start, end):
+    # whitening slices the mask from the cursor, in whole periods and as a
+    # head; reads and walks that end one bit either side of a period
+    # boundary must match int_emit.  The first read spans three periods,
+    # the last sequence starts with a walk inside the first period.
+    rng = random.Random(120 + 3 * start + end)
+    mask = rng.getrandbits(MASK_BITS)
+    regs = [rng.getrandbits(256) for _ in range(4)]
+    reads = [3 * MASK_BITS - start + end, 1000]
+    # a state whose walk for the whole request ends there too
+    while (got := _steps_to_raw_end(regs, start, end)) is None:
+        regs = [rng.getrandbits(256) for _ in range(4)]
+    for sizes in (reads, [got, 1000], [100, 3000]):
+        bank = LfsrBank(params, BankState(regs, mask, 0, start))
+        ref = IntBank(regs, mask, 0, start)
+        for n in sizes:
+            assert as_int(bank.emit_bits(n)) == int_emit(ref, n), (n, sizes)
+            assert bank.mask_cursor == ref.mask_cursor
+
+
+def test_one_large_emit_equals_4kib_pieces(params, monkeypatch):
+    # the gather's shared index base starts empty and grows for each
+    monkeypatch.setattr(lfsr, "_BASE", np.arange(0))
+    rng = random.Random(121)
+    state = BankState([rng.getrandbits(256) for _ in range(4)], rng.getrandbits(MASK_BITS))
+    n = 2**20 + 13
+    pieces = LfsrBank(params, state)
+    small = np.concatenate([pieces.emit_bits(min(32768, n - k)) for k in range(0, n, 32768)])
+    assert lfsr._BASE.size < 2**20
+    whole = LfsrBank(params, state)
+    assert np.array_equal(whole.emit_bits(n), small)
+    assert lfsr._BASE.size >= 2**20 and not lfsr._BASE.flags.writeable
+    assert whole.state() == pieces.state()
 
 
 def test_mask_cursor_wraps(params):

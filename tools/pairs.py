@@ -1,0 +1,94 @@
+"""Run the benchmark in two checkouts in alternating pairs and judge a claim.
+
+Usage: python tools/pairs.py PARENT CHANGE --workload W [--pairs 10]
+       [--seconds 14] [--seed0 N]
+
+PARENT and CHANGE are checkout roots.  Pair i runs
+
+    python3 perfbench/run.py --workload W --seed N+i --seconds S --trace 0
+
+in each of them, the parent first in even pairs and the change first in odd
+ones.  Every run's end-to-end metrics are printed with `correct` and
+`failed`; then, per metric, the medians, the parent's quartiles, the pairs
+the change won and whether a gain may be claimed: at least ten pairs ran,
+the change won at least nine tenths of them (ties count for neither) and
+the medians differ, in the better direction, by more than the parent's
+quartile spread.
+
+The metric names and directions come from the BENCHMARK.json next to this
+file's directory.  Only the standard library is used.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+def summary(parent: list, change: list, better: str) -> dict:
+    """Medians, the parent's quartiles, wins and the verdict of one metric.
+
+    `parent[i]` and `change[i]` are pair i's values; `better` is "higher"
+    or "lower".  Quartiles are `statistics.quantiles` cut points (its
+    default, exclusive method).
+    """
+    if len(parent) != len(change) or len(parent) < 2:
+        raise ValueError("need two or more pairs of equal length")
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    med_p, med_c = statistics.median(parent), statistics.median(change)
+    gain = sign * (med_c - med_p)
+    return {"parent_median": med_p, "change_median": med_c, "parent_q1": q1,
+            "parent_q3": q3, "wins": wins, "pairs": len(parent),
+            "claim_met": len(parent) >= 10 and 10 * wins >= 9 * len(parent)
+            and gain > q3 - q1}
+
+
+def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
+    """The result line of one harness run in checkout `root`."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{root}: run.py exited {proc.returncode}: {proc.stderr.strip()}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=14)
+    ap.add_argument("--seed0", type=int, default=1)
+    args = ap.parse_args(argv)
+    metrics = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    runs = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        seed = args.seed0 + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            res = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            runs[side].append(res)
+            values = " ".join(f"{name}={res['metrics'][name]['value']:.4g}" for name in metrics)
+            print(f"pair {i} seed {seed} {side:6s} {values} correct={res['correct']} "
+                  f"failed={res['failed']}/{res['attempted']}", flush=True)
+    for name, better in metrics.items():
+        s = summary([r["metrics"][name]["value"] for r in runs["parent"]],
+                    [r["metrics"][name]["value"] for r in runs["change"]], better)
+        print(f"{name} ({better} is better): median {s['parent_median']:.4g} -> "
+              f"{s['change_median']:.4g}, parent quartiles {s['parent_q1']:.4g}-"
+              f"{s['parent_q3']:.4g}, change won {s['wins']}/{s['pairs']}, "
+              f"claim {'met' if s['claim_met'] else 'not met'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
