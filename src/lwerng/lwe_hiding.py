@@ -14,6 +14,7 @@ can redraw them with the public samplers, since `hide` is defined by them.
 """
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -137,7 +138,18 @@ def distinguishing_experiment(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
 
-    hits_a, hits_b = _battery_hits(trials, p, mode, seed)
+    rng = np.random.default_rng(seed)
+    width = _SAMPLE_ROWS * p.degree
+    hits_a, hits_b = Counter(), Counter()
+    for done in range(0, trials, _EXPERIMENT_CHUNK):
+        t = min(_EXPERIMENT_CHUNK, trials - done)
+        if mode == "hiding_vs_uniform":
+            arm_a = _hiding_batch(rng, t, p)
+        else:
+            arm_a = rng.integers(0, p.q, size=(t, width), dtype=np.int64)
+        arm_b = rng.integers(0, p.q, size=(t, width), dtype=np.int64)
+        hits_a.update(_distinguisher_hits(arm_a, p.q))
+        hits_b.update(_distinguisher_hits(arm_b, p.q))
 
     results = []
     for name in _DISTINGUISHER_NAMES:
@@ -182,28 +194,6 @@ def _distinguisher_hits(samples: np.ndarray, q: int) -> dict:
         "serial_corr": int(corr_hits.sum()),
         "high_bit_weight": int(hb_hits.sum()),
     }
-
-
-def _battery_hits(trials, p: Params, mode, seed):
-    rng = np.random.default_rng(seed)
-    q = p.q
-    width = _SAMPLE_ROWS * p.degree
-    hits_a = dict.fromkeys(_DISTINGUISHER_NAMES, 0)
-    hits_b = dict.fromkeys(_DISTINGUISHER_NAMES, 0)
-    done = 0
-    while done < trials:
-        t = min(_EXPERIMENT_CHUNK, trials - done)
-        if mode == "hiding_vs_uniform":
-            arm_a = _hiding_batch(rng, t, p)
-        else:
-            arm_a = rng.integers(0, q, size=(t, width), dtype=np.int64)
-        arm_b = rng.integers(0, q, size=(t, width), dtype=np.int64)
-        for name, c in _distinguisher_hits(arm_a, q).items():
-            hits_a[name] += c
-        for name, c in _distinguisher_hits(arm_b, q).items():
-            hits_b[name] += c
-        done += t
-    return hits_a, hits_b
 
 
 def _hiding_batch(rng, t: int, p: Params) -> np.ndarray:

@@ -7,6 +7,7 @@ it needs degree > 32, so smaller rings serve the ring arithmetic only.  Every
 `Params` is validated when it is built.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -44,7 +45,6 @@ class Params:
         return _smallest_negacyclic_root(self.q, self.degree)
 
 
-@lru_cache(maxsize=None)
 def _smallest_negacyclic_root(q: int, degree: int) -> int:
     """The smallest x with x^degree = -1 (mod q), for prime q = 1 (mod 2*degree).
 
@@ -67,28 +67,10 @@ def _smallest_negacyclic_root(q: int, degree: int) -> int:
 
 
 def _is_prime(q: int) -> bool:
-    """Miller-Rabin to bases 2, 3, 5 and 7, exact for q < 3215031751."""
-    if q < 2:
-        return False
-    bases = (2, 3, 5, 7)
-    if q in bases:
-        return True
-    if any(q % b == 0 for b in bases):
-        return False
-    d, s = q - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in bases:
-        x = pow(b, d, q)
-        if x in (1, q - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % q
-            if x == q - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division by 2 and the odd d <= isqrt(q), exact for every q."""
+    if q < 3:
+        return q == 2
+    return q % 2 == 1 and all(q % d for d in range(3, math.isqrt(q) + 1, 2))
 
 
 @lru_cache(maxsize=1)
@@ -108,12 +90,18 @@ def validate(p: Params) -> None:
     256 * (q - 1)^2 < 2^60, so it needs one reduction.
 
     Raises:
-        InvalidModulus: q fails oddness, q = 1 (mod 2*degree), the bound
-            q < 2^26, primality or the transform bound above; or degree is
-            not a power of two in [2, 2^10].
-        InconsistentLayout: n or eta is not positive, n > 256, or
-            2*eta >= q.
+        InvalidModulus: q or degree is not an int (a bool is not one); q
+            fails oddness, q = 1 (mod 2*degree), the bound q < 2^26,
+            primality or the transform bound above; or degree is not a
+            power of two in [2, 2^10].
+        InconsistentLayout: n or eta is not an int or not positive,
+            n > 256, or 2*eta >= q.
     """
+    for name, error in (("q", InvalidModulus), ("degree", InvalidModulus),
+                        ("n", InconsistentLayout), ("eta", InconsistentLayout)):
+        value = getattr(p, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise error(f"{name}={value!r} must be an int")
     if p.q < 2 or p.q % 2 == 0:
         raise InvalidModulus(f"q={p.q} must be an odd integer >= 3")
     if p.degree < 2 or p.degree & (p.degree - 1):

@@ -29,8 +29,9 @@ class Generator:
 
     def __init__(self, ent: EntropyInput, params: Params = None,
                  reseed_interval: int = DEFAULT_RESEED_INTERVAL):
-        if reseed_interval < 0:
-            raise ValueError("reseed_interval must be >= 0")
+        if (not isinstance(reseed_interval, int) or isinstance(reseed_interval, bool)
+                or reseed_interval < 0):
+            raise ValueError("reseed_interval must be an int >= 0")
         self.params = params or default_params()
         self.reseed_interval = reseed_interval
         self.generation = 0
@@ -42,37 +43,39 @@ class Generator:
     def next_bytes(self, nbytes: int) -> bytes:
         """The next nbytes of the stream; chunked reads concatenate exactly.
 
+        Each segment is packed into the output as it lands.  A segment ends
+        inside a byte only at a reseed boundary, and then its last (at most
+        7) bits are carried into the next segment.
+
         A read that raises DegenerateState leaves the generator as it was:
         it restores the bank's state on entry, pending bits included, and
         the epoch and its count; a retry rebuilds later epochs from the seed.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        need = 8 * nbytes
-        parts = []
+        out = np.empty(nbytes, np.uint8)
+        pos, carry = 0, out[:0]  # bytes packed so far; bits emitted past them
         snapshot = self.bank.state(), self.generation, self.bits_emitted
         try:
-            while need > 0:
-                seg = min(need, _EMIT_CHUNK_BITS)
+            while pos < nbytes:
+                seg = min(8 * (nbytes - pos) - carry.size, _EMIT_CHUNK_BITS)
                 if self.reseed_interval > 0:
                     seg = min(seg, self.reseed_interval - self.bits_emitted)
-                parts.append(self.bank.emit_bits(seg))
+                bits = self.bank.emit_bits(seg)
                 self.bits_emitted += seg
-                need -= seg
-                if self.reseed_interval > 0 and self.bits_emitted == self.reseed_interval:
+                if carry.size:
+                    bits = np.concatenate((carry, bits))
+                packed = np.packbits(bits[:bits.size // 8 * 8], bitorder="little")
+                out[pos:pos + packed.size] = packed
+                pos += packed.size
+                carry = bits[8 * packed.size:]
+                if self.bits_emitted == self.reseed_interval:
                     self._reseed()
         except DegenerateState:
             state, self.generation, self.bits_emitted = snapshot
             self.bank = LfsrBank(self.params, state)
             raise
-        if not parts:
-            return b""
-        bits = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return np.packbits(bits, bitorder="little").tobytes()
-
-    def fork_with_new_entropy(self, ent: EntropyInput) -> "Generator":
-        """Independent generator with fresh entropy, same configuration."""
-        return Generator(ent, self.params, self.reseed_interval)
+        return out.tobytes()
 
     def _reseed(self):
         self.generation += 1

@@ -1,5 +1,6 @@
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from lwerng.errors import InconsistentLayout, InvalidModulus
@@ -167,6 +168,19 @@ def test_invalid_set_rejected_at_construction():
     # q = 1 (mod 512) but far above 2^26: int64 ring products would overflow
     with pytest.raises(InvalidModulus):
         Params(q=2147483137)
+
+
+@pytest.mark.parametrize("field,value,error", [
+    ("n", 2.0, InconsistentLayout),
+    ("eta", 1.0, InconsistentLayout),
+    ("n", True, InconsistentLayout),
+    ("eta", np.int64(1), InconsistentLayout),
+    ("q", 8380417.0, InvalidModulus),
+    ("degree", 256.0, InvalidModulus),
+])
+def test_non_integer_field_rejected(field, value, error):
+    with pytest.raises(error, match="must be an int"):
+        Params(**{field: value})
 
 
 def test_default_params_cached():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,12 +111,33 @@ def test_generation_counter(ent_zero):
     assert gen.generation == 5
 
 
-def test_fork_with_new_entropy(ent_zero):
-    gen = Generator(ent_zero, reseed_interval=4096)
-    child = gen.fork_with_new_entropy(fixed_ent(42))
-    assert child.reseed_interval == 4096
-    assert child.next_bytes(64) == Generator(fixed_ent(42), reseed_interval=4096).next_bytes(64)
-    assert child.next_bytes(64) != gen.next_bytes(64)
+@pytest.mark.parametrize("interval", [2.5, True, "8", None])
+def test_non_integer_reseed_interval_rejected(ent_zero, interval):
+    with pytest.raises(ValueError):
+        Generator(ent_zero, reseed_interval=interval)
+
+
+def test_non_integer_read_steps_nothing(ent_zero):
+    gen = Generator(ent_zero, reseed_interval=0)
+    before = gen.bank.state()
+    with pytest.raises(TypeError):
+        gen.next_bytes(2.0)
+    assert gen.bank.state() == before and gen.bits_emitted == 0
+
+
+def test_large_read_memory_is_bounded(ent_zero):
+    # a read packs each segment into its output as it lands, so a 1 MiB read
+    # holds the output and one segment's walk, not the whole read one byte
+    # per bit; the warm-up read grows the shared gather index first
+    gen = Generator(ent_zero, reseed_interval=0)
+    gen.next_bytes(1 << 20)
+    tracemalloc.start()
+    try:
+        gen.next_bytes(1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_distinct_seeds_distinct_streams():
