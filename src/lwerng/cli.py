@@ -7,7 +7,7 @@ resolved seed as `args.entropy`: --seed-hex, else 32 bytes from
 --seed-file, else from the seed file named by $LWERNG_SEED_FILE, else from
 the operating system.  `qkd-demo` is not seeded and ignores
 $LWERNG_SEED_FILE: each party without its --<party>-seed-hex draws a seed
-from the operating system, because Alice's and Bob's seeds must differ.
+from the operating system, because no two parties may share a seed.
 
 Exit codes: 0 success, 1 usage error (bad flags, bad seed material; bad
 seed hex on any flag is one), 2 runtime error, or a `stats` battery test
@@ -22,6 +22,7 @@ import os
 import statistics
 import sys
 import time
+from dataclasses import asdict
 
 from .errors import LwerngError
 from .lwe_hiding import MIN_TRIALS, MODES, distinguishing_experiment
@@ -86,15 +87,12 @@ _POSITIVE = _at_least(1)
 
 
 def _cmd_generate(args) -> int:
-    gen = Generator(args.entropy, reseed_interval=args.reseed_interval)
-    if args.out:
-        dump_raw(gen, args.nbytes, args.out)
-        return 0
-    if sys.stdout.isatty() and not args.force:
+    if not args.out and sys.stdout.isatty() and not args.force:
         raise UsageError("refusing to write raw bytes to a terminal; "
                          "use --out or --force")
-    dump_raw(gen, args.nbytes, sys.stdout.buffer)
-    sys.stdout.buffer.flush()
+    dump_raw(Generator(args.entropy, reseed_interval=args.reseed_interval),
+             args.nbytes, args.out or sys.stdout.buffer)
+    sys.stdout.buffer.flush()  # a closed pipe is an OSError here, exit 2
     return 0
 
 
@@ -113,13 +111,11 @@ def _cmd_stats(args) -> int:
 def _reports_json(reports) -> str:
     """Battery reports as strict JSON; a non-finite statistic (runs when its
     frequency precondition fails) is written as null."""
-    return json.dumps([
-        {"test_name": rep.test_name,
-         "statistic": rep.statistic if math.isfinite(rep.statistic) else None,
-         "p_value": rep.p_value,
-         "verdict": rep.verdict}
-        for rep in reports
-    ], allow_nan=False)
+    rows = [asdict(rep) for rep in reports]
+    for row in rows:
+        if not math.isfinite(row["statistic"]):
+            row["statistic"] = None
+    return json.dumps(rows, allow_nan=False)
 
 
 def _cmd_dump(args) -> int:

@@ -241,7 +241,11 @@ class BankState:
 class LfsrBank:
     """Mutable register bank; exclusive access required while stepping.
 
-    Its BankState enters by the constructor only and leaves by `state()`."""
+    Its BankState enters by the constructor only and leaves by `state()`.
+    The bank rebinds `regs`, `_buf` and `_mask_unpacked` and never writes
+    them in place: `_walk` assigns a new register list and `emit_bits`
+    whitens a fresh gather array.  So `copy.copy(bank)` is a whole copy:
+    stepping it leaves the original as it was."""
 
     def __init__(self, params: Params, state: BankState):
         """Raises DegenerateState if params leave no mask words.

@@ -40,14 +40,13 @@ class HiddenSeed:
     params: Params
 
 
-def hide(ent: EntropyInput, p: Params = None) -> HiddenSeed:
+def hide(ent: EntropyInput, p: Params) -> HiddenSeed:
     """Conceal the payload derived from `ent` under the designated sample.
 
     Deterministic in `ent`: the designated matrix row, the secret, the
     error polynomial and the payload expand from it under their domain
     labels.
     """
-    p = p or default_params()
     prod = polyring.mat_vec_mul(expand_matrix(ent, p), sample_secret(ent, p), p)[0]
     e = sample_error(ent, p)
     r = seed_payload(ent, p)
@@ -130,9 +129,12 @@ def distinguishing_experiment(
 
     Each distinguisher maps one sample (_SAMPLE_ROWS*degree coefficients)
     to {0, 1}; the advantage is |hit_rate_a - hit_rate_b| with a binomial
-    sigma.
+    sigma.  A trials or seed that is a bool or not an int raises ValueError.
     """
     p = p or default_params()
+    for name, value in (("trials", trials), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name}={value!r} must be an int")
     if trials < MIN_TRIALS:
         raise InsufficientTrials(f"trials={trials} < {MIN_TRIALS}")
     if mode not in MODES:

@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import IdenticalSeeds
-from .params import Params
 from .sampling import EntropyInput
 from .stream import Generator
 
@@ -38,20 +37,18 @@ class QkdSession:
     def sift_fraction(self) -> float:
         return self.sifted_alice.size / self.n_photons
 
+    def _fields(self) -> dict:
+        return dict(photons=self.n_photons, adversary=self.adversary or "none",
+                    sifted=int(self.sifted_alice.size), sift_fraction=self.sift_fraction,
+                    qber=self.qber)
+
     def summary(self) -> str:
-        return (
-            f"photons={self.n_photons} adversary={self.adversary or 'none'} "
-            f"sifted={self.sifted_alice.size} "
-            f"sift_fraction={self.sift_fraction:.6f} qber={self.qber:.6f}"
-        )
+        return " ".join(f"{k}={v:.6f}" if isinstance(v, float) else f"{k}={v}"
+                        for k, v in self._fields().items())
 
     def to_json(self) -> str:
         """The summary line's fields as one strict JSON object."""
-        return json.dumps({"photons": self.n_photons,
-                           "adversary": self.adversary or "none",
-                           "sifted": int(self.sifted_alice.size),
-                           "sift_fraction": self.sift_fraction,
-                           "qber": self.qber}, allow_nan=False)
+        return json.dumps(self._fields(), allow_nan=False)
 
     def csv_row(self) -> str:
         return (
@@ -65,20 +62,32 @@ def _draw_bits(gen: Generator, count: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")[:count]
 
 
+def _measure(gen: Generator, bases, sent_bits, sent_bases) -> np.ndarray:
+    """Measure each sent photon in `bases`: the sent bit where the bases
+    match, else a fresh bit from the measurer's own stream, in photon order."""
+    results = sent_bits.copy()
+    wrong = bases != sent_bases
+    results[wrong] = _draw_bits(gen, int(wrong.sum()))
+    return results
+
+
 def run_session(
     ent_alice: EntropyInput,
     ent_bob: EntropyInput,
     n_photons: int,
     adversary: Optional[str] = None,
     ent_eve: Optional[EntropyInput] = None,
-    params: Params = None,
 ) -> QkdSession:
     """One full session: preparation, channel, measurement, sifting, QBER.
 
     Matching-basis measurements read the incoming bit exactly; a
     wrong-basis measurement yields a fresh bit from the measurer's own
     generator.  The session is a pure function of the entropy inputs.
+    n_photons must be an int >= 1 (a bool is not one) and no two parties
+    may share an entropy input.
     """
+    if not isinstance(n_photons, int) or isinstance(n_photons, bool):
+        raise ValueError(f"n_photons={n_photons!r} must be an int")
     if n_photons < 1:
         raise ValueError("n_photons must be >= 1")
     if adversary not in ADVERSARIES:
@@ -87,29 +96,25 @@ def run_session(
         raise IdenticalSeeds("Alice and Bob must seed independent generators")
     if adversary == "intercept_resend" and ent_eve is None:
         raise ValueError("intercept_resend needs its own entropy input")
+    # an eavesdropper seeded as Bob measures in Bob's bases: it never
+    # disturbs a sifted photon and the QBER reads 0
+    if adversary and ent_eve in (ent_alice, ent_bob):
+        raise IdenticalSeeds("the eavesdropper must seed its own generator")
 
-    gen_alice = Generator(ent_alice, params)
-    gen_bob = Generator(ent_bob, params)
-
-    pairs = _draw_bits(gen_alice, 2 * n_photons)
+    pairs = _draw_bits(Generator(ent_alice), 2 * n_photons)
     alice_bits = pairs[0::2]
     alice_bases = pairs[1::2]
 
+    gen_bob = Generator(ent_bob)
     bob_bases = _draw_bits(gen_bob, n_photons)
 
+    sent_bits, sent_bases = alice_bits, alice_bases
     if adversary == "intercept_resend":
-        gen_eve = Generator(ent_eve, params)
-        eve_bases = _draw_bits(gen_eve, n_photons)
-        eve_results = alice_bits.copy()
-        wrong = eve_bases != alice_bases
-        eve_results[wrong] = _draw_bits(gen_eve, int(wrong.sum()))
-        sent_bits, sent_bases = eve_results, eve_bases
-    else:
-        sent_bits, sent_bases = alice_bits, alice_bases
+        gen_eve = Generator(ent_eve)
+        sent_bases = _draw_bits(gen_eve, n_photons)  # Eve's bases
+        sent_bits = _measure(gen_eve, sent_bases, alice_bits, alice_bases)
 
-    bob_results = sent_bits.copy()
-    wrong = bob_bases != sent_bases
-    bob_results[wrong] = _draw_bits(gen_bob, int(wrong.sum()))
+    bob_results = _measure(gen_bob, bob_bases, sent_bits, sent_bases)
 
     sift = alice_bases == bob_bases
     sifted_alice = alice_bits[sift]

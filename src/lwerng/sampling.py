@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Params, default_params
+from .params import Params
 
 SEED_BYTES = 32
 
@@ -88,7 +88,7 @@ def _accepted(xofs, width: int, keep: int, bound: int, need: int) -> np.ndarray:
         draws *= 2
 
 
-def expand_matrix(ent: EntropyInput, p: Params = None) -> np.ndarray:
+def expand_matrix(ent: EntropyInput, p: Params) -> np.ndarray:
     """Expand the designated row of the public matrix as (1, n, degree).
 
     `hide` conceals only the designated sample, so no other row is drawn.
@@ -96,42 +96,38 @@ def expand_matrix(ent: EntropyInput, p: Params = None) -> np.ndarray:
     ceil(bitlen(q)/8) bytes little-endian, masking to bitlen(q) bits and
     rejecting values >= q (acceptance ~ q / 2^bitlen).
     """
-    p = p or default_params()
     bits = p.q.bit_length()
     xofs = [_xof(ent, bytes([LABEL_MATRIX, 0, j])) for j in range(p.n)]
     coeffs = _accepted(xofs, 8 * ((bits + 7) // 8), bits, p.q, p.degree)
     return coeffs.reshape(1, p.n, p.degree)
 
 
-def sample_secret(ent: EntropyInput, p: Params = None) -> np.ndarray:
+def sample_secret(ent: EntropyInput, p: Params) -> np.ndarray:
     """Secret vector, (n, degree): coefficients uniform on {-eta..eta} mod q.
 
     Rejection sampling on bitlen(2*eta)-bit reads; for eta = 1 that is
     2-bit reads with the single pattern 3 rejected.
     """
-    p = p or default_params()
     k = (2 * p.eta).bit_length()
     v = _accepted([_xof(ent, bytes([LABEL_SECRET]))], k, k, 2 * p.eta + 1, p.n * p.degree)
     # read v stands for v - eta mod q; one lookup is cheaper than a modulo
     return ((np.arange(2 * p.eta + 1) - p.eta) % p.q)[v].reshape(p.n, p.degree)
 
 
-def sample_error(ent: EntropyInput, p: Params = None) -> np.ndarray:
+def sample_error(ent: EntropyInput, p: Params) -> np.ndarray:
     """Error polynomial, (degree,): centered binomial of parameter eta, mod q.
 
     Per coefficient, eta bits minus eta bits; for eta = 1 this gives
     P(0) = 1/2 and P(+-1) = 1/4 on support {-1, 0, 1}.
     """
-    p = p or default_params()
     nbits = 2 * p.eta * p.degree
     bits = _bits(_xof(ent, LABEL_ERROR).digest((nbits + 7) // 8))[:nbits]
     ab = bits.reshape(p.degree, 2, p.eta).sum(axis=-1, dtype=np.int64)
     return (ab[:, 0] - ab[:, 1]) % p.q
 
 
-def seed_payload(ent: EntropyInput, p: Params = None) -> np.ndarray:
+def seed_payload(ent: EntropyInput, p: Params) -> np.ndarray:
     """Binary payload, (degree,): coefficients in {0, 1}, one bit each."""
-    p = p or default_params()
     raw = _xof(ent, bytes([LABEL_PAYLOAD])).digest((p.degree + 7) // 8)
     return _bits(raw)[:p.degree].astype(np.int64)
 

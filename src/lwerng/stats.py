@@ -175,10 +175,8 @@ def _serial_2bit(c):
     """Overlapping serial test with pattern length 2 (cyclic extension)."""
     n, ones = c.n, c.ones
     cross = (c.transitions + (c.first != c.last)) // 2  # 01 pairs = 10 pairs
-    c2 = np.array([n - ones - cross, cross, cross, ones - cross], dtype=np.float64)
-    c1 = np.array([n - ones, ones], dtype=np.float64)
-    psi2 = (4.0 / n) * float((c2**2).sum()) - n
-    psi1 = (2.0 / n) * float((c1**2).sum()) - n
+    psi2 = (4.0 / n) * ((n - ones - cross) ** 2 + 2 * cross**2 + (ones - cross) ** 2) - n
+    psi1 = (2.0 / n) * ((n - ones) ** 2 + ones**2) - n
     delta = psi2 - psi1
     return delta, _gammaincc(1.0, delta / 2.0)
 
@@ -279,7 +277,11 @@ def _opened(sink, mode: str):
 
 
 def dump_raw(source, nbytes: int, sink) -> None:
-    """Write exactly nbytes of raw stream output to a path or file object."""
+    """Write exactly nbytes of raw stream output to a path or file object.
+
+    A negative nbytes raises ValueError before the sink is opened."""
+    if nbytes < 0:
+        raise ValueError("nbytes must be >= 0")
     with _opened(sink, "wb") as fh:
         left = nbytes
         while left > 0:

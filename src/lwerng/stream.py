@@ -9,9 +9,10 @@ and rebuilds the concealment and the bank.  Interval 0 disables reseeding
 and runs the bank indefinitely with the cyclic whitening mask.
 """
 
+import copy
+
 import numpy as np
 
-from .errors import DegenerateState
 from .lfsr import LfsrBank, initialize
 from .lwe_hiding import hide
 from .params import Params, default_params
@@ -47,38 +48,31 @@ class Generator:
         inside a byte only at a reseed boundary, and then its last (at most
         7) bits are carried into the next segment.
 
-        A read that raises DegenerateState leaves the generator as it was:
-        it restores the bank's state on entry, pending bits included, and
-        the epoch and its count; a retry rebuilds later epochs from the seed.
+        A read commits only when it succeeds: it steps a shallow copy of the
+        bank (a whole copy, see `LfsrBank`) and a local epoch and count,
+        reseeds into them and assigns all three back after its last segment.
+        A read that raises anything leaves the generator as it was.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
         out = np.empty(nbytes, np.uint8)
         pos, carry = 0, out[:0]  # bytes packed so far; bits emitted past them
-        snapshot = self.bank.state(), self.generation, self.bits_emitted
-        try:
-            while pos < nbytes:
-                seg = min(8 * (nbytes - pos) - carry.size, _EMIT_CHUNK_BITS)
-                if self.reseed_interval > 0:
-                    seg = min(seg, self.reseed_interval - self.bits_emitted)
-                bits = self.bank.emit_bits(seg)
-                self.bits_emitted += seg
-                if carry.size:
-                    bits = np.concatenate((carry, bits))
-                packed = np.packbits(bits[:bits.size // 8 * 8], bitorder="little")
-                out[pos:pos + packed.size] = packed
-                pos += packed.size
-                carry = bits[8 * packed.size:]
-                if self.bits_emitted == self.reseed_interval:
-                    self._reseed()
-        except DegenerateState:
-            state, self.generation, self.bits_emitted = snapshot
-            self.bank = LfsrBank(self.params, state)
-            raise
+        bank, generation, emitted = copy.copy(self.bank), self.generation, self.bits_emitted
+        while pos < nbytes:
+            seg = min(8 * (nbytes - pos) - carry.size, _EMIT_CHUNK_BITS)
+            if self.reseed_interval > 0:
+                seg = min(seg, self.reseed_interval - emitted)
+            bits = bank.emit_bits(seg)
+            emitted += seg
+            if carry.size:
+                bits = np.concatenate((carry, bits))
+            packed = np.packbits(bits[:bits.size // 8 * 8], bitorder="little")
+            out[pos:pos + packed.size] = packed
+            pos += packed.size
+            carry = bits[8 * packed.size:]
+            if emitted == self.reseed_interval:
+                generation += 1
+                ent = derive_reseed_entropy(self._ent, generation)
+                bank, emitted = initialize(hide(ent, self.params)), 0
+        self.bank, self.generation, self.bits_emitted = bank, generation, emitted
         return out.tobytes()
-
-    def _reseed(self):
-        self.generation += 1
-        ent = derive_reseed_entropy(self._ent, self.generation)
-        self.bank = initialize(hide(ent, self.params))
-        self.bits_emitted = 0

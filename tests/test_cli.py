@@ -237,6 +237,16 @@ def test_qkd_demo_intercept(capsys):
     assert abs(qber - 0.25) < 0.01
 
 
+def test_qkd_demo_eve_with_bobs_seed_exits_2(capsys):
+    # Eve seeded as Bob would draw Bob's bases and disturb no sifted photon
+    code, out, err = run([
+        "qkd-demo", "--photons", "1000", "--adversary", "intercept",
+        "--alice-seed-hex", SEED, "--bob-seed-hex", SEED2, "--eve-seed-hex", SEED2,
+    ], capsys)
+    assert code == 2
+    assert "error" in err and out == ""
+
+
 @pytest.mark.parametrize("adversary", ["none", "intercept"])
 def test_qkd_demo_json_agrees_with_text(adversary, capsys):
     argv = ["qkd-demo", "--photons", "20000", "--adversary", adversary,

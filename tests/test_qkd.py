@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lwerng.errors import IdenticalSeeds
+from lwerng.lwe_hiding import distinguishing_experiment
 from lwerng.qkd import QkdSession, run_session
 from lwerng.stream import Generator
 
@@ -15,6 +16,28 @@ EVE = fixed_ent(3)
 def test_identical_seeds_rejected():
     with pytest.raises(IdenticalSeeds):
         run_session(ALICE, ALICE, 100)
+
+
+@pytest.mark.parametrize("shared", [ALICE, BOB], ids=["alice", "bob"])
+def test_eavesdropper_sharing_a_seed_rejected(shared):
+    # with Bob's seed Eve's bases are Bob's, so a sifted photon always reaches
+    # Bob in Alice's basis with Alice's bit and the QBER reads 0
+    with pytest.raises(IdenticalSeeds):
+        run_session(ALICE, BOB, 1000, adversary="intercept_resend", ent_eve=shared)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: run_session(ALICE, BOB, True),
+    lambda: run_session(ALICE, BOB, 10.5),
+    lambda: distinguishing_experiment(True),
+    lambda: distinguishing_experiment(1000.5),
+    lambda: distinguishing_experiment(1000, seed=True),
+    lambda: distinguishing_experiment(1000, seed=1.5),
+], ids=["photons_bool", "photons_float", "trials_bool", "trials_float",
+        "seed_bool", "seed_float"])
+def test_bool_and_non_int_counts_rejected(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_adversary_needs_own_entropy():

@@ -192,6 +192,14 @@ def test_dump_raw_golden_vector(ent_zero):
     assert sink.getvalue() == GOLDEN_COUNT_SEED
 
 
+def test_dump_raw_negative_size_keeps_the_file(tmp_path, ent_zero):
+    path = tmp_path / "kept.bin"
+    path.write_bytes(b"7 bytes")
+    with pytest.raises(ValueError):
+        dump_raw(Generator(ent_zero), -1, str(path))
+    assert path.read_bytes() == b"7 bytes"
+
+
 def test_dump_raw_reproducible(tmp_path, ent_zero):
     p1 = tmp_path / "a.bin"
     p2 = tmp_path / "b.bin"

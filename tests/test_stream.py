@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 import tracemalloc
@@ -85,7 +86,7 @@ def test_reseed_interval_not_byte_aligned(ent_zero):
 
 
 @pytest.mark.parametrize("interval", [1001, (1 << 18) + 5])
-def test_matches_epoch_by_epoch_reference(ent_zero, interval):
+def test_matches_epoch_by_epoch_reference(ent_zero, params, interval):
     # epoch k is int_emit on the bank of hide(e_k), e_0 = ent and e_k the
     # derived reseed entropy, the epochs concatenated LSB-first.  Reads of
     # mixed sizes cover at least three epochs; at (1 << 18) + 5 one read puts
@@ -99,7 +100,7 @@ def test_matches_epoch_by_epoch_reference(ent_zero, interval):
     ref = 0
     for k in range(-(-8 * len(got) // interval)):
         ent = derive_reseed_entropy(ent_zero, k) if k else ent_zero
-        bank = initialize(hide(ent))
+        bank = initialize(hide(ent, params))
         ref |= int_emit(IntBank(bank.regs, bank.mask), interval) << (k * interval)
     nbits = 8 * len(got)
     assert got == (ref & ((1 << nbits) - 1)).to_bytes(len(got), "little")
@@ -243,3 +244,36 @@ def test_copied_state_continues_the_stream(ent_zero, interval, size):
     assert copy.state() == bank.state() and bank.state().pending
     assert np.array_equal(copy.emit_bits(10_000), bank.emit_bits(10_000))
     assert copy.state() == bank.state()
+
+
+def test_shallow_copy_leaves_the_bank_as_it_was(ent_zero, params):
+    # a read steps copy.copy(bank); the copy must share nothing it writes
+    bank = initialize(hide(ent_zero, params))
+    bank.emit_bits(100)
+    before = bank.state()
+    assert before.pending
+    twin = copy.copy(bank)
+    # the first read is served from the shared pending bits alone
+    bits = np.concatenate([twin.emit_bits(n) for n in (1, 3 * MASK_BITS + 1001, 50)])
+    assert twin.state().pending  # the copy stopped mid-step
+    assert bank.state() == before
+    assert np.array_equal(bank.emit_bits(bits.size), bits)
+    assert bank.state() == twin.state()
+
+
+def test_failed_read_of_any_kind_changes_nothing(ent_zero, monkeypatch):
+    # not only DegenerateState: an error in a reseed leaves the generator as it was
+    fresh = Generator(ent_zero, reseed_interval=64).next_bytes(16)
+    gen = Generator(ent_zero, reseed_interval=64)
+    assert gen.next_bytes(3) == fresh[:3]
+    bank = gen.bank
+
+    def broken(ent, generation):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(stream, "derive_reseed_entropy", broken)
+    with pytest.raises(RuntimeError):
+        gen.next_bytes(8)
+    assert gen.bank is bank and (gen.generation, gen.bits_emitted) == (0, 24)
+    monkeypatch.undo()
+    assert gen.next_bytes(13) == fresh[3:]
