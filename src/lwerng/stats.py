@@ -279,9 +279,10 @@ def _opened(sink, mode: str):
 def dump_raw(source, nbytes: int, sink) -> None:
     """Write exactly nbytes of raw stream output to a path or file object.
 
-    A negative nbytes raises ValueError before the sink is opened."""
-    if nbytes < 0:
-        raise ValueError("nbytes must be >= 0")
+    An nbytes that is negative, a bool or not an int raises ValueError
+    before the sink is opened, so an existing file keeps its bytes."""
+    if not isinstance(nbytes, int) or isinstance(nbytes, bool) or nbytes < 0:
+        raise ValueError(f"nbytes={nbytes!r} must be an int >= 0")
     with _opened(sink, "wb") as fh:
         left = nbytes
         while left > 0:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from lwerng.lwe_hiding import (
     MODES,
     _SAMPLE_ROWS,
     _distinguisher_hits,
-    _hiding_batch,
+    _hiding_block,
+    _hiding_draws,
     distinguishing_experiment,
     hide,
 )
@@ -69,7 +72,8 @@ def test_transcript_replay_exact(params):
 
 
 def replay_hiding_batch(seed, t, p, draw_error):
-    """_hiding_batch's t samples rebuilt one at a time from the same draws.
+    """t concealed samples of the experiment rebuilt one at a time from the
+    draws `_hiding_draws` takes.
 
     The matrix is mapped out of the transform domain and goes through
     mat_vec_mul; draw_error(rng, shape) replays the error draw.
@@ -90,12 +94,20 @@ def replay_hiding_batch(seed, t, p, draw_error):
     return np.array(samples)
 
 
+def hiding_batch(seed, t, p, blocks=(slice(None),)):
+    """t concealed samples: the draw stage, then the block stage over
+    `blocks` of trials, concatenated."""
+    drawn = _hiding_draws(np.random.default_rng(seed), t, p)
+    return np.concatenate([_hiding_block(drawn, blk, p) for blk in blocks])
+
+
 def test_vectorized_ring_agrees_with_polyring(params):
-    batch = _hiding_batch(np.random.default_rng(3), 3, params)
     expected = replay_hiding_batch(
         3, 3, params,
         lambda rng, shape: rng.integers(0, 2, size=shape) - rng.integers(0, 2, size=shape))
-    assert np.array_equal(batch, expected)
+    assert np.array_equal(hiding_batch(3, 3, params), expected)
+    # the block stage splits at any trial: two blocks give the same samples
+    assert np.array_equal(hiding_batch(3, 3, params, (slice(0, 1), slice(1, 3))), expected)
 
 
 def test_vectorized_error_follows_eta():
@@ -106,8 +118,7 @@ def test_vectorized_error_follows_eta():
         return (rng.integers(0, 2, size=shape + (2,)).sum(axis=-1)
                 - rng.integers(0, 2, size=shape + (2,)).sum(axis=-1))
 
-    batch = _hiding_batch(np.random.default_rng(4), 3, p)
-    assert np.array_equal(batch, replay_hiding_batch(4, 3, p, binomial_2))
+    assert np.array_equal(hiding_batch(4, 3, p), replay_hiding_batch(4, 3, p, binomial_2))
 
 
 def test_marginal_uniformity_of_hidden_coefficient(params):
@@ -150,22 +161,43 @@ def test_experiment_hiding_null_smoke(params):
         assert res.advantage <= 3 * max(res.sigma, (0.5 / report.trials) ** 0.5)
 
 
-# (coef_chi2, serial_corr, high_bit_weight) hits of arm a and arm b at 1000
-# trials; they pin the sample width and the order of the rng's draws
+# (coef_chi2, serial_corr, high_bit_weight) hits of arm a and arm b; they pin
+# the sample width and the order of the rng's draws.  1000 trials is one
+# chunk; 2100 crosses the chunk seam at 2048 and ends in a ragged block
 EXPERIMENT_HITS = {
-    (0, "hiding_vs_uniform"): ((492, 489), (496, 512), (511, 490)),
-    (0, "uniform_vs_uniform"): ((475, 503), (508, 503), (505, 476)),
-    (7, "hiding_vs_uniform"): ((507, 514), (525, 508), (480, 485)),
-    (7, "uniform_vs_uniform"): ((509, 507), (489, 476), (496, 495)),
+    (1000, 0, "hiding_vs_uniform"): ((492, 489), (496, 512), (511, 490)),
+    (1000, 0, "uniform_vs_uniform"): ((475, 503), (508, 503), (505, 476)),
+    (1000, 7, "hiding_vs_uniform"): ((507, 514), (525, 508), (480, 485)),
+    (1000, 7, "uniform_vs_uniform"): ((509, 507), (489, 476), (496, 495)),
+    (2100, 0, "hiding_vs_uniform"): ((1089, 1049), (1072, 1080), (1025, 1001)),
+    (2100, 7, "uniform_vs_uniform"): ((1067, 1051), (1020, 1070), (1038, 1032)),
 }
 
 
-@pytest.mark.parametrize("seed, mode", list(EXPERIMENT_HITS))
-def test_experiment_hit_counts_golden(seed, mode):
-    report = distinguishing_experiment(1000, mode=mode, seed=seed)
+@pytest.mark.parametrize("trials, seed, mode", [
+    # a one-chunk case is named by its seed and mode alone
+    pytest.param(t, s, m, id=f"{s}-{m}" if t == 1000 else f"{t}-{s}-{m}")
+    for t, s, m in EXPERIMENT_HITS])
+def test_experiment_hit_counts_golden(trials, seed, mode):
+    report = distinguishing_experiment(trials, mode=mode, seed=seed)
     assert [r.name for r in report.results] == ["coef_chi2", "serial_corr", "high_bit_weight"]
     hits = tuple((r.hits_a, r.hits_b) for r in report.results)
-    assert hits == EXPERIMENT_HITS[seed, mode]
+    assert hits == EXPERIMENT_HITS[trials, seed, mode]
+
+
+def test_experiment_memory_is_bounded(params):
+    # the block stage inverts, combines and scores a block of trials at a
+    # time, so a 1000-trial experiment holds its draws and one block's
+    # temporaries, not whole-chunk temporaries; the warm-up call builds the
+    # cached transform matrices first
+    distinguishing_experiment(1000, params, seed=1)
+    tracemalloc.start()
+    try:
+        distinguishing_experiment(1000, params, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 def test_experiment_positive_control(params):

@@ -39,7 +39,7 @@ def test_ntt_roundtrip_fullsize(params):
 
 @pytest.mark.parametrize("q,degree", [(8380417, 256), (257, 4), (17, 4), (193, 32), (7681, 256)])
 def test_transform_matches_references(q, degree):
-    # pins the bit-reversed evaluation order: _hiding_batch draws A in the
+    # pins the bit-reversed evaluation order: _hiding_draws draws A in the
     # transform domain, so its output depends on it even though hide's does not
     p = Params(q=q, degree=degree)
     rng = np.random.default_rng(degree)

@@ -200,6 +200,15 @@ def test_dump_raw_negative_size_keeps_the_file(tmp_path, ent_zero):
     assert path.read_bytes() == b"7 bytes"
 
 
+@pytest.mark.parametrize("nbytes", [2.5, True])
+def test_dump_raw_non_int_size_keeps_the_file(tmp_path, ent_zero, nbytes):
+    path = tmp_path / "kept.bin"
+    path.write_bytes(b"7 bytes")
+    with pytest.raises(ValueError):
+        dump_raw(Generator(ent_zero), nbytes, str(path))
+    assert path.read_bytes() == b"7 bytes"
+
+
 def test_dump_raw_reproducible(tmp_path, ent_zero):
     p1 = tmp_path / "a.bin"
     p2 = tmp_path / "b.bin"
