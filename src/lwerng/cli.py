@@ -86,19 +86,22 @@ _COUNT = _at_least(0)
 _POSITIVE = _at_least(1)
 
 
+def _generator(args) -> Generator:
+    """The generator of a seeded command: its seed and --reseed-interval."""
+    return Generator(args.entropy, reseed_interval=args.reseed_interval)
+
+
 def _cmd_generate(args) -> int:
     if not args.out and sys.stdout.isatty() and not args.force:
         raise UsageError("refusing to write raw bytes to a terminal; "
                          "use --out or --force")
-    dump_raw(Generator(args.entropy, reseed_interval=args.reseed_interval),
-             args.nbytes, args.out or sys.stdout.buffer)
+    dump_raw(_generator(args), args.nbytes, args.out or sys.stdout.buffer)
     sys.stdout.buffer.flush()  # a closed pipe is an OSError here, exit 2
     return 0
 
 
 def _cmd_stats(args) -> int:
-    reports = run_battery(Generator(args.entropy, reseed_interval=args.reseed_interval),
-                          args.bits)
+    reports = run_battery(_generator(args), args.bits)
     if args.json:
         print(_reports_json(reports))
     else:
@@ -119,16 +122,14 @@ def _reports_json(reports) -> str:
 
 
 def _cmd_dump(args) -> int:
-    dump_raw(Generator(args.entropy, reseed_interval=args.reseed_interval),
-             args.nbytes, args.out)
+    dump_raw(_generator(args), args.nbytes, args.out)
     print(f"wrote {args.nbytes} bytes to {args.out}", file=sys.stderr)
     print(f"external suite: dieharder -a -g 201 -f {args.out}", file=sys.stderr)
     return 0
 
 
 def _cmd_scatter(args) -> int:
-    indexes = scatter_indexes(Generator(args.entropy, reseed_interval=args.reseed_interval),
-                              args.count)
+    indexes = scatter_indexes(_generator(args), args.count)
     write_scatter_csv(indexes, args.out)
     print(f"wrote {args.count} indexes to {args.out}", file=sys.stderr)
     return 0

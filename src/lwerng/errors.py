@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its integer-argument rule."""
 
 
 class LwerngError(Exception):
@@ -32,3 +32,13 @@ class DegenerateState(LwerngError):
 
 class IdenticalSeeds(LwerngError):
     """Two parties were given the same entropy input."""
+
+
+def check_int(name: str, value, low: int = None, error: type = ValueError) -> None:
+    """The integer-argument rule: `value` must be a Python int, not a bool (nor a
+    numpy integer or a float), and at least `low` if given; else `error` names
+    `name`.  Entry points check it before any side effect."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise error(f"{name}={value!r} must be an int")
+    if low is not None and value < low:
+        raise error(f"{name}={value!r} must be an int >= {low}")

@@ -81,7 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateState
+from .errors import DegenerateState, check_int
 from .lwe_hiding import HiddenSeed
 from .params import Params
 
@@ -251,25 +251,25 @@ class LfsrBank:
         """Raises DegenerateState if params leave no mask words.
 
         Raises ValueError on state the machine cannot hold: other than four
-        registers, a register, mask or cursor that is not an int, pending
-        bits that are not bytes, or any of them out of range.
+        registers, a register, mask or cursor that is not an int (a bool is
+        not one), pending bits that are not bytes, or any of them out of range.
         """
         mask_bits = _mask_width(params)
         regs, mask = list(state.regs), state.mask
         if len(regs) != _REGS:
             raise ValueError(f"{len(regs)} registers, not {_REGS}")
-        if not all(isinstance(v, int) for v in (*regs, mask, state.coeff_cursor,
-                                                 state.mask_cursor)):
-            raise ValueError("registers, mask and cursors must be ints")
+        for name, value in zip(("L1", "L2", "L3", "L4", "mask", "coeff_cursor", "mask_cursor"),
+                               (*regs, mask, state.coeff_cursor, state.mask_cursor)):
+            check_int(name, value, 0)
         if not isinstance(state.pending, (bytes, bytearray)):
             raise ValueError("pending bits must be bytes")
-        if not all(0 <= r <= _REG_MASK for r in regs):
+        if max(regs) > _REG_MASK:
             raise ValueError(f"registers must lie in [0, 2^{_REG_BITS})")
-        if not 0 <= mask < 1 << mask_bits:
+        if mask >> mask_bits:
             raise ValueError(f"mask must lie in [0, 2^{mask_bits})")
-        if not 0 <= state.coeff_cursor < _CURSORS:
+        if state.coeff_cursor >= _CURSORS:
             raise ValueError(f"coeff_cursor={state.coeff_cursor} is not in [0, {_CURSORS})")
-        if not 0 <= state.mask_cursor < mask_bits:
+        if state.mask_cursor >= mask_bits:
             raise ValueError(f"mask_cursor={state.mask_cursor} is not in [0, {mask_bits})")
         if state.pending.translate(None, b"\0\1"):
             raise ValueError("pending bits must be 0 or 1")
@@ -373,8 +373,7 @@ class LfsrBank:
         emission concatenates to one large emission.  Raw bit g of the run
         meets mask bit g mod mask_bits, whatever the step boundaries.
         """
-        if nbits < 0:
-            raise ValueError("nbits must be >= 0")
+        check_int("nbits", nbits, 0)
         buf = self._buf
         if buf.size < nbits and self.regs[3]:
             # a zero master raises below before any step: the walk would still

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import polyring
-from .errors import InsufficientTrials
+from .errors import InsufficientTrials, check_int
 from .params import Params, default_params
 from .sampling import (
     EntropyInput,
@@ -148,9 +148,8 @@ def distinguishing_experiment(
     sigma.  A trials or seed that is a bool or not an int raises ValueError.
     """
     p = p or default_params()
-    for name, value in (("trials", trials), ("seed", seed)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name}={value!r} must be an int")
+    check_int("trials", trials)
+    check_int("seed", seed)
     if trials < MIN_TRIALS:
         raise InsufficientTrials(f"trials={trials} < {MIN_TRIALS}")
     if mode not in MODES:

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import InconsistentLayout, InvalidModulus
+from .errors import InconsistentLayout, InvalidModulus, check_int
 
 
 @dataclass(frozen=True)
@@ -91,21 +91,19 @@ def validate(p: Params) -> None:
 
     Raises:
         InvalidModulus: q or degree is not an int (a bool is not one); q
-            fails oddness, q = 1 (mod 2*degree), the bound q < 2^26,
+            is below 3 or even, fails q = 1 (mod 2*degree), the bound q < 2^26,
             primality or the transform bound above; or degree is not a
             power of two in [2, 2^10].
         InconsistentLayout: n or eta is not an int or not positive,
             n > 256, or 2*eta >= q.
     """
-    for name, error in (("q", InvalidModulus), ("degree", InvalidModulus),
-                        ("n", InconsistentLayout), ("eta", InconsistentLayout)):
-        value = getattr(p, name)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise error(f"{name}={value!r} must be an int")
-    if p.q < 2 or p.q % 2 == 0:
-        raise InvalidModulus(f"q={p.q} must be an odd integer >= 3")
-    if p.degree < 2 or p.degree & (p.degree - 1):
-        raise InvalidModulus(f"degree={p.degree} must be a power of two >= 2")
+    for name, low, error in (("q", 3, InvalidModulus), ("degree", 2, InvalidModulus),
+                             ("n", 1, InconsistentLayout), ("eta", 1, InconsistentLayout)):
+        check_int(name, getattr(p, name), low, error)
+    if p.q % 2 == 0:
+        raise InvalidModulus(f"q={p.q} must be odd")
+    if p.degree & (p.degree - 1):
+        raise InvalidModulus(f"degree={p.degree} must be a power of two")
     if p.degree > 1 << 10:
         raise InvalidModulus(f"degree={p.degree} is above 2^10")
     if (p.q - 1) % (2 * p.degree) != 0:
@@ -121,8 +119,6 @@ def validate(p: Params) -> None:
     if not _is_prime(p.q):
         # a prime q = 1 (mod 2*degree) has the 2*degree-th roots psi needs
         raise InvalidModulus(f"q={p.q} is not prime")
-    if p.n < 1 or p.eta < 1:
-        raise InconsistentLayout("n and eta must be positive")
     if p.n > 256:
         raise InconsistentLayout(f"n={p.n} is above 256")
     if 2 * p.eta >= p.q:

@@ -9,12 +9,12 @@ adversary the error rate over sifted positions is exactly zero.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import IdenticalSeeds
+from .errors import IdenticalSeeds, check_int
 from .sampling import EntropyInput
 from .stream import Generator
 
@@ -29,9 +29,20 @@ class QkdSession:
     alice_bases: np.ndarray
     bob_bases: np.ndarray
     bob_results: np.ndarray
-    sifted_alice: np.ndarray = field(repr=False, default=None)
-    sifted_bob: np.ndarray = field(repr=False, default=None)
-    qber: float = 0.0
+
+    @property
+    def sifted_alice(self) -> np.ndarray:
+        return self.alice_bits[self.alice_bases == self.bob_bases]
+
+    @property
+    def sifted_bob(self) -> np.ndarray:
+        return self.bob_results[self.alice_bases == self.bob_bases]
+
+    @property
+    def qber(self) -> float:
+        """The error rate over the sifted positions; 0.0 when none are sifted."""
+        errors = self.sifted_alice != self.sifted_bob
+        return float(errors.mean()) if errors.size else 0.0
 
     @property
     def sift_fraction(self) -> float:
@@ -86,10 +97,7 @@ def run_session(
     n_photons must be an int >= 1 (a bool is not one) and no two parties
     may share an entropy input.
     """
-    if not isinstance(n_photons, int) or isinstance(n_photons, bool):
-        raise ValueError(f"n_photons={n_photons!r} must be an int")
-    if n_photons < 1:
-        raise ValueError("n_photons must be >= 1")
+    check_int("n_photons", n_photons, 1)
     if adversary not in ADVERSARIES:
         raise ValueError(f"unknown adversary {adversary!r}")
     if ent_alice == ent_bob:
@@ -115,20 +123,4 @@ def run_session(
         sent_bits = _measure(gen_eve, sent_bases, alice_bits, alice_bases)
 
     bob_results = _measure(gen_bob, bob_bases, sent_bits, sent_bases)
-
-    sift = alice_bases == bob_bases
-    sifted_alice = alice_bits[sift]
-    sifted_bob = bob_results[sift]
-    qber = float((sifted_alice != sifted_bob).mean()) if sifted_alice.size else 0.0
-
-    return QkdSession(
-        n_photons=n_photons,
-        adversary=adversary,
-        alice_bits=alice_bits,
-        alice_bases=alice_bases,
-        bob_bases=bob_bases,
-        bob_results=bob_results,
-        sifted_alice=sifted_alice,
-        sifted_bob=sifted_bob,
-        qber=qber,
-    )
+    return QkdSession(n_photons, adversary, alice_bits, alice_bases, bob_bases, bob_results)

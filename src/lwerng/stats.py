@@ -60,7 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientBits
+from .errors import InsufficientBits, check_int
+from .stream import Generator
 
 FAIL_P = 1e-6
 WEAK_P = 0.005
@@ -103,6 +104,7 @@ def _take_bytes(source, nbytes: int) -> bytes:
 
 def run_battery(source, nbits: int) -> list:
     """Run all six tests over the first nbits of the source."""
+    check_int("nbits", nbits)
     if nbits < MIN_BATTERY_BITS:
         raise InsufficientBits(f"battery needs >= {MIN_BATTERY_BITS} bits, got {nbits}")
     data = _take_bytes(source, (nbits + 7) // 8)
@@ -276,25 +278,26 @@ def _opened(sink, mode: str):
             yield fh
 
 
-def dump_raw(source, nbytes: int, sink) -> None:
-    """Write exactly nbytes of raw stream output to a path or file object.
+def dump_raw(source: Generator, nbytes: int, sink) -> None:
+    """Write exactly nbytes of a generator's stream to a path or file object.
 
-    An nbytes that is negative, a bool or not an int raises ValueError
-    before the sink is opened, so an existing file keeps its bytes."""
-    if not isinstance(nbytes, int) or isinstance(nbytes, bool) or nbytes < 0:
-        raise ValueError(f"nbytes={nbytes!r} must be an int >= 0")
+    A source that is not a `Generator`, or an nbytes that is not an int
+    >= 0, raises ValueError before the sink is opened, so an existing file
+    keeps its bytes."""
+    if not isinstance(source, Generator):
+        raise ValueError(f"dump_raw reads a Generator, not {type(source).__name__}")
+    check_int("nbytes", nbytes, 0)
     with _opened(sink, "wb") as fh:
         left = nbytes
         while left > 0:
             take = min(_DUMP_CHUNK_BYTES, left)
-            fh.write(_take_bytes(source, take))
+            fh.write(source.next_bytes(take))
             left -= take
 
 
 def scatter_indexes(source, count: int) -> np.ndarray:
     """3-bit indexes in [0, 7], LSB-first: the first bit consumed is the LSB."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    check_int("count", count, 1)
     data = _take_bytes(source, (3 * count + 7) // 8)
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
     bits = bits[: 3 * count].reshape(count, 3)

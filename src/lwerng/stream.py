@@ -13,6 +13,7 @@ import copy
 
 import numpy as np
 
+from .errors import check_int
 from .lfsr import LfsrBank, initialize
 from .lwe_hiding import hide
 from .params import Params, default_params
@@ -30,9 +31,7 @@ class Generator:
 
     def __init__(self, ent: EntropyInput, params: Params = None,
                  reseed_interval: int = DEFAULT_RESEED_INTERVAL):
-        if (not isinstance(reseed_interval, int) or isinstance(reseed_interval, bool)
-                or reseed_interval < 0):
-            raise ValueError("reseed_interval must be an int >= 0")
+        check_int("reseed_interval", reseed_interval, 0)
         self.params = params or default_params()
         self.reseed_interval = reseed_interval
         self.generation = 0
@@ -53,8 +52,7 @@ class Generator:
         reseeds into them and assigns all three back after its last segment.
         A read that raises anything leaves the generator as it was.
         """
-        if nbytes < 0:
-            raise ValueError("nbytes must be >= 0")
+        check_int("nbytes", nbytes, 0)
         out = np.empty(nbytes, np.uint8)
         pos, carry = 0, out[:0]  # bytes packed so far; bits emitted past them
         bank, generation, emitted = copy.copy(self.bank), self.generation, self.bits_emitted

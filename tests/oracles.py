@@ -390,15 +390,6 @@ def ref_emit(regs, mask, cursor, mask_cursor, nbits):
     return out[:nbits]
 
 
-def bits_to_bytes(bits):
-    """LSB-first packing: stream bit 8j+i is bit i of byte j."""
-    assert len(bits) % 8 == 0
-    out = bytearray()
-    for j in range(0, len(bits), 8):
-        out.append(bits_to_int(bits[j : j + 8]))
-    return bytes(out)
-
-
 # --- fast integer reference for the register machine --------------------------
 
 M32 = 0xFFFFFFFF

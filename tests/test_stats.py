@@ -209,6 +209,16 @@ def test_dump_raw_non_int_size_keeps_the_file(tmp_path, ent_zero, nbytes):
     assert path.read_bytes() == b"7 bytes"
 
 
+@pytest.mark.parametrize("source", [bytes(64), bytearray(64)], ids=["bytes", "bytearray"])
+def test_dump_raw_reads_only_a_generator(tmp_path, source):
+    # a buffer source once wrote its first chunk again for every chunk
+    path = tmp_path / "kept.bin"
+    path.write_bytes(b"7 bytes")
+    with pytest.raises(ValueError):
+        dump_raw(source, 16, str(path))
+    assert path.read_bytes() == b"7 bytes"
+
+
 def test_dump_raw_reproducible(tmp_path, ent_zero):
     p1 = tmp_path / "a.bin"
     p2 = tmp_path / "b.bin"

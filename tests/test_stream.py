@@ -121,7 +121,7 @@ def test_non_integer_reseed_interval_rejected(ent_zero, interval):
 def test_non_integer_read_steps_nothing(ent_zero):
     gen = Generator(ent_zero, reseed_interval=0)
     before = gen.bank.state()
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         gen.next_bytes(2.0)
     assert gen.bank.state() == before and gen.bits_emitted == 0
 

@@ -1,4 +1,5 @@
-"""The summary rule of tools/pairs.py on fixed numbers; the tool itself runs the benchmark."""
+"""The summary and verdict rules of tools/pairs.py on fixed numbers; the tool
+itself runs the benchmark."""
 
 import importlib.util
 from pathlib import Path
@@ -48,3 +49,28 @@ def test_summary_needs_a_gap_wider_than_the_parent_quartiles():
 def test_summary_rejects_unpaired_runs():
     with pytest.raises(ValueError):
         pairs.summary(PARENT, CHANGE[:9], "higher")
+
+
+def test_verdict_within_bound():
+    # the parent's quartile spread is 85, 4.1% of its median 2084
+    assert pairs.verdict(PARENT, CHANGE, "higher", 0.18) == "within bound"
+    # 10% worse is still inside an 18% bound
+    assert pairs.verdict(PARENT, [0.9 * p for p in PARENT], "higher", 0.18) == "within bound"
+
+
+def test_verdict_worse_by_more_than_bound():
+    assert (pairs.verdict(PARENT, [0.8 * p for p in PARENT], "higher", 0.18)
+            == "worse by more than bound")
+    # as times, 20% longer is worse
+    assert (pairs.verdict(PARENT, [1.2 * p for p in PARENT], "lower", 0.18)
+            == "worse by more than bound")
+
+
+def test_verdict_unresolved_when_the_spread_passes_the_bound():
+    # a 3% bound is narrower than the 4.1% spread: a 10-point loss and a
+    # 200-point gain both stay unresolved while some parent run beats some
+    # change run (2183 against 2201)
+    assert pairs.verdict(PARENT, [p - 10 for p in PARENT], "higher", 0.03) == "unresolved"
+    assert pairs.verdict(PARENT, [p + 200 for p in PARENT], "higher", 0.03) == "unresolved"
+    # unless every change run beats every parent run
+    assert pairs.verdict(PARENT, [p + 300 for p in PARENT], "higher", 0.03) == "within bound"

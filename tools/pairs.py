@@ -13,10 +13,12 @@ ones.  Every run's end-to-end metrics are printed with `correct` and
 the change won and whether a gain may be claimed: at least ten pairs ran,
 the change won at least nine tenths of them (ties count for neither) and
 the medians differ, in the better direction, by more than the parent's
-quartile spread.
+quartile spread.  Last comes the no-regression verdict against the metric's
+bound, a fraction of the parent's median (see `verdict`).
 
-The metric names and directions come from the BENCHMARK.json next to this
-file's directory.  Only the standard library is used.
+The metric names, directions and bounds are read from the BENCHMARK.json
+next to this file's directory, which the tool does not change.  Only the
+standard library is used.
 """
 
 import argparse
@@ -49,6 +51,26 @@ def summary(parent: list, change: list, better: str) -> dict:
             and gain > q3 - q1}
 
 
+def verdict(parent: list, change: list, better: str, bound: float) -> str:
+    """The no-regression verdict of one metric with relative bound `bound`.
+
+    "unresolved" when the parent's quartile spread is wider than the bound
+    and not every change run beats every parent run; else "worse by more
+    than bound" when the change's median is worse than the parent's by more
+    than the bound; else "within bound".  Both widths are fractions of the
+    parent's median.
+    """
+    sign = 1 if better == "higher" else -1
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    med_p = statistics.median(parent)
+    beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
+    if (q3 - q1) / med_p > bound and not beats_all:
+        return "unresolved"
+    if sign * (med_p - statistics.median(change)) / med_p > bound:
+        return "worse by more than bound"
+    return "within bound"
+
+
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
     """The result line of one harness run in checkout `root`."""
     proc = subprocess.run(
@@ -69,7 +91,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=14)
     ap.add_argument("--seed0", type=int, default=1)
     args = ap.parse_args(argv)
-    metrics = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    metrics = {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         seed = args.seed0 + i
@@ -80,13 +102,15 @@ def main(argv=None) -> int:
             values = " ".join(f"{name}={res['metrics'][name]['value']:.4g}" for name in metrics)
             print(f"pair {i} seed {seed} {side:6s} {values} correct={res['correct']} "
                   f"failed={res['failed']}/{res['attempted']}", flush=True)
-    for name, better in metrics.items():
-        s = summary([r["metrics"][name]["value"] for r in runs["parent"]],
-                    [r["metrics"][name]["value"] for r in runs["change"]], better)
-        print(f"{name} ({better} is better): median {s['parent_median']:.4g} -> "
+    for name, m in metrics.items():
+        parent = [r["metrics"][name]["value"] for r in runs["parent"]]
+        change = [r["metrics"][name]["value"] for r in runs["change"]]
+        s = summary(parent, change, m["better"])
+        print(f"{name} ({m['better']} is better): median {s['parent_median']:.4g} -> "
               f"{s['change_median']:.4g}, parent quartiles {s['parent_q1']:.4g}-"
               f"{s['parent_q3']:.4g}, change won {s['wins']}/{s['pairs']}, "
-              f"claim {'met' if s['claim_met'] else 'not met'}")
+              f"claim {'met' if s['claim_met'] else 'not met'}, "
+              f"{verdict(parent, change, m['better'], m['bound'])} ({m['bound']:g})")
     return 0
 
 
