@@ -411,28 +411,33 @@ def initialize(hs: HiddenSeed) -> LfsrBank:
     """
     p = hs.params
     _mask_width(p)  # before the fill: a shorter polynomial cannot fill it
-    coeffs = hs.b
-    words = np.array(coeffs)
-    # an integer dtype first: a cast would truncate floats and parse strings
-    if not (words.dtype.kind in "iu" and words.shape == (p.degree,)
-            and words.min() >= 0 and words.max() < p.q):
+    # array("q") takes ints only (a float or a string raises, where a numpy
+    # cast would truncate or parse it); one maximum then checks both ends, a
+    # negative word reading as at least 2^63 unsigned
+    try:
+        words = np.frombuffer(array("q", hs.b), np.int64)
+    except (TypeError, OverflowError):
+        words = None
+    if words is None or words.size != p.degree or words.view(np.uint64).max() >= p.q:
         raise ValueError(
             f"designated polynomial must be {p.degree} coefficients in [0, {p.q})")
-    words = words.astype("<u4")
 
-    # coefficient index of each register word, round by round
-    fill = [[reg] for reg in range(_REGS)]
-    for rnd in range(1, _CURSORS):
-        x12 = coeffs[fill[0][-1]] ^ coeffs[fill[1][-1]]
-        x34 = coeffs[fill[2][-1]] ^ coeffs[fill[3][-1]]
-        order = (2, 3, 0, 1) if x34 > x12 else (0, 1, 2, 3)
-        for k, reg in enumerate(order):
-            fill[reg].append(4 * rnd + k)
+    # the registers word by word, from Python ints: an int64 scalar would
+    # overflow past bit 63
+    fill = words[:_FILL_WORDS].tolist()
+    l1, l2, l3, l4 = w1, w2, w3, w4 = fill[:_REGS]
+    for shift in range(_WORD_BITS, _REG_BITS, _WORD_BITS):
+        x12, x34 = w1 ^ w2, w3 ^ w4
+        k = shift // _WORD_BITS * _REGS
+        w1, w2, w3, w4 = fill[k:k + _REGS]
+        if x34 > x12:
+            w1, w2, w3, w4 = w3, w4, w1, w2
+        l1 |= w1 << shift
+        l2 |= w2 << shift
+        l3 |= w3 << shift
+        l4 |= w4 << shift
+    mask = int.from_bytes(words[_FILL_WORDS:].astype("<u4").tobytes(), "little")
 
-    # words[fill] is the (4, 8) array of register words, word 0 first
-    regs = tuple(int.from_bytes(row.tobytes(), "little") for row in words[fill])
-    mask = int.from_bytes(words[_FILL_WORDS:].tobytes(), "little")
-
-    if regs[3] == 0:
+    if l4 == 0:
         raise DegenerateState("master register filled with all zeros")
-    return LfsrBank(p, BankState(regs, mask))
+    return LfsrBank(p, BankState((l1, l2, l3, l4), mask))

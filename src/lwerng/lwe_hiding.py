@@ -26,7 +26,7 @@ import numpy as np
 
 from . import polyring
 from .errors import InsufficientTrials, check_int
-from .params import Params, default_params
+from .params import Params, resolve_params
 from .sampling import (
     EntropyInput,
     expand_matrix,
@@ -145,9 +145,10 @@ def distinguishing_experiment(
 
     Each distinguisher maps one sample (_SAMPLE_ROWS*degree coefficients)
     to {0, 1}; the advantage is |hit_rate_a - hit_rate_b| with a binomial
-    sigma.  A trials or seed that is a bool or not an int raises ValueError.
+    sigma.  A trials or seed that is a bool or not an int raises ValueError,
+    as does a p that is neither a Params nor None (the default set).
     """
-    p = p or default_params()
+    p = resolve_params(p)
     check_int("trials", trials)
     check_int("seed", seed)
     if trials < MIN_TRIALS:

@@ -78,6 +78,15 @@ def default_params() -> Params:
     return Params()
 
 
+def resolve_params(p) -> Params:
+    """`p` if it is a Params, the default set if it is None; else ValueError."""
+    if p is None:
+        return default_params()
+    if not isinstance(p, Params):
+        raise ValueError(f"params={p!r} must be a Params or None")
+    return p
+
+
 def validate(p: Params) -> None:
     """Check every parameter invariant; raise on the first violation.
 

@@ -74,12 +74,13 @@ def reduce_mod(x: np.ndarray, q: int) -> np.ndarray:
 def _transform(a, matrix, q: int) -> np.ndarray:
     """a @ matrix mod q over the last axis, exact for |a| < q (see ntt).
 
-    The float64 product comes back as exact integers of either sign, and
-    `reduce_mod` brings them into [0, q) in the int64 array they land in.
+    `a` is cast to float64 once (not at all if it is float64 already); the
+    product comes back as exact integers of either sign, and `reduce_mod`
+    brings them into [0, q) in the int64 array they are cast to.
     """
-    a = np.asarray(a, dtype=np.int64)
+    a = np.asarray(a, dtype=np.float64)
     # all polynomials as the rows of one 2-D operand: one product, not one per batch
-    out = (a.reshape(-1, matrix.shape[0]).astype(np.float64) @ matrix).astype(np.int64)
+    out = (a.reshape(-1, matrix.shape[0]) @ matrix).astype(np.int64)
     return reduce_mod(out, q).reshape(a.shape)
 
 
@@ -118,6 +119,9 @@ def mat_vec_mul(mat, vec, p: Params) -> np.ndarray:
             f"matrix rows of width {[len(r) for r in mat]} and vector of {len(vec)}, "
             f"not n={p.n}"
         )
-    hat = ntt(np.concatenate([np.reshape(x, (-1, p.degree)) for x in (mat, vec)]), p)
-    mat_hat = hat[:-p.n].reshape(len(mat), p.n, p.degree)
-    return inv_ntt(reduce_mod((mat_hat * hat[-p.n:]).sum(axis=1), p.q), p)
+    # the matrix rows, then the vector, written into one float64 operand
+    operand = np.empty((len(mat) + 1, p.n, p.degree))
+    operand[:-1] = mat
+    operand[-1] = vec
+    hat = ntt(operand, p)
+    return inv_ntt(reduce_mod((hat[:-1] * hat[-1]).sum(axis=1), p.q), p)

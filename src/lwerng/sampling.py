@@ -15,8 +15,8 @@ bit read from a byte is its bit 0.
 """
 
 import hashlib
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,33 +56,42 @@ def _bits(raw: bytes) -> np.ndarray:
 
 
 def _accepted(xofs, width: int, keep: int, bound: int, need: int) -> np.ndarray:
-    """Per XOF, the first `need` values below `bound`; an (len(xofs), need) array.
+    """Per XOF, the first `need` values below `bound`; a (len(xofs), need) array.
 
     Each value is a width-bit LSB-first field of the digest cut to its low
-    `keep` bits.  The digest is read in groups of lcm(width, 8) bits, whole
-    bytes holding whole fields: one overlapping view holds the
-    little-endian 64-bit words at each byte of every group, and the field
-    starting t bits into a group is the word at byte t // 8 shifted right
-    by t % 8.  t % 8 + width <= 64 holds because no width exceeds 32 bits:
-    validate keeps q below 2^26, so a matrix read is at most 4 bytes, and a
-    secret read of bitlen(2*eta) bits is no wider since 2*eta < q.  So the
-    read is exact integer arithmetic with no per-bit array.  The first read
-    covers the expected number of draws plus slack; a digest that yields
-    too few values is read again at twice the length.  A shorter shake_256
-    digest is a prefix of every longer one, so the values equal those of a
-    reader that takes one field at a time.
+    `keep` bits, read in one of two ways.  A whole-byte field (every matrix
+    read) is one little-endian word of a strided view, a word per field at
+    a stride of the field's bytes, in the smallest unsigned word that holds
+    a field: validate keeps q below 2^26 and 2*eta below q, so a field is at
+    most 4 bytes; a 3-byte field read as a 4-byte word takes one byte of the
+    next field (or of the pad at the end) above it, which the cut drops.
+    Any other field (the secret's 2-bit reads) is summed from the unpacked
+    digest, its bit j a column shifted left by j, in the smallest unsigned
+    dtype that holds `keep` bits, so no sum can carry out of it.  The first
+    read covers the expected number of draws plus slack, whole bytes per
+    XOF; a digest that yields too few values is read again at twice the
+    length.  A shorter shake_256 digest is a prefix of every longer one, so
+    the values equal those of a reader that takes one field at a time.
     """
-    group = math.lcm(width, 8)
-    starts = np.arange(0, group, width, dtype=np.uint64)
+    nbytes, sub = divmod(width, 8)
+    # the smallest unsigned word that holds a whole-byte field, or the kept bits of another
+    word = np.dtype(f"<u{next(k for k in (1, 2, 4) if 8 * k >= (keep if sub else width))}")
     draws = (need << keep) // bound + need // 16
-    draws += -draws % 8  # whole bytes per digest: no group straddles two XOFs
+    draws += -draws % 8  # whole bytes per digest
     while True:
         raw = b"".join(x.digest(draws * width // 8) for x in xofs)
-        words = np.ndarray((8 * len(raw) // group, group // 8), "<u8", raw + bytes(7),
-                           strides=(group // 8, 1))
-        fields = (words[:, starts >> 3] >> (starts & 7)) & ((1 << keep) - 1)
-        rows = fields.view(np.int64).reshape(len(xofs), draws)
-        picked = [row[row < bound][:need] for row in rows]
+        if sub:
+            bits = _bits(raw).reshape(-1, width)
+            fields = np.left_shift(bits[:, keep - 1], keep - 1, dtype=word)
+            for j in range(keep - 2, -1, -1):
+                fields += np.left_shift(bits[:, j], j, dtype=word) if j else bits[:, 0]
+        else:
+            fields = np.ndarray((len(raw) // nbytes,), word, raw + bytes(word.itemsize - nbytes),
+                                strides=(nbytes,))
+            if keep < 8 * word.itemsize:
+                fields = fields & ((1 << keep) - 1)
+        # compress, not a boolean index: it reads a fresh key's secret in about half the time
+        picked = [row.compress(row < bound)[:need] for row in fields.reshape(len(xofs), draws)]
         if min(len(v) for v in picked) == need:
             return np.array(picked)
         draws *= 2
@@ -94,7 +103,8 @@ def expand_matrix(ent: EntropyInput, p: Params) -> np.ndarray:
     `hide` conceals only the designated sample, so no other row is drawn.
     Each coefficient comes from the entry's own stream by reading
     ceil(bitlen(q)/8) bytes little-endian, masking to bitlen(q) bits and
-    rejecting values >= q (acceptance ~ q / 2^bitlen).
+    rejecting values >= q (acceptance ~ q / 2^bitlen).  The entries keep
+    the unsigned dtype they were read in (uint32 at the default q).
     """
     bits = p.q.bit_length()
     xofs = [_xof(ent, bytes([LABEL_MATRIX, 0, j])) for j in range(p.n)]
@@ -110,8 +120,17 @@ def sample_secret(ent: EntropyInput, p: Params) -> np.ndarray:
     """
     k = (2 * p.eta).bit_length()
     v = _accepted([_xof(ent, bytes([LABEL_SECRET]))], k, k, 2 * p.eta + 1, p.n * p.degree)
-    # read v stands for v - eta mod q; one lookup is cheaper than a modulo
-    return ((np.arange(2 * p.eta + 1) - p.eta) % p.q)[v].reshape(p.n, p.degree)
+    return _residues(p.eta, p.q).take(v).reshape(p.n, p.degree)
+
+
+@lru_cache(maxsize=4)
+def _residues(eta: int, q: int) -> np.ndarray:
+    """Read-only int64 table: entry v is v - eta mod q, for a secret read v.
+
+    One lookup is cheaper than a modulo."""
+    table = (np.arange(2 * eta + 1) - eta) % q
+    table.setflags(write=False)
+    return table
 
 
 def sample_error(ent: EntropyInput, p: Params) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import check_int
 from .lfsr import LfsrBank, initialize
 from .lwe_hiding import hide
-from .params import Params, default_params
+from .params import Params, resolve_params
 from .sampling import EntropyInput, derive_reseed_entropy
 
 DEFAULT_RESEED_INTERVAL = 1 << 20  # bits between automatic re-concealments
@@ -26,19 +26,27 @@ DEFAULT_RESEED_INTERVAL = 1 << 20  # bits between automatic re-concealments
 _EMIT_CHUNK_BITS = 1 << 18
 
 
+def epoch_bank(ent: EntropyInput, k: int, params: Params) -> LfsrBank:
+    """The fresh bank of epoch k: initialize(hide(e_k, params)), where e_0 is
+    `ent` and e_k, k >= 1, is `derive_reseed_entropy(ent, k)`."""
+    return initialize(hide(derive_reseed_entropy(ent, k) if k else ent, params))
+
+
 class Generator:
     """One consumer's stream state; not safe for concurrent use."""
 
     def __init__(self, ent: EntropyInput, params: Params = None,
                  reseed_interval: int = DEFAULT_RESEED_INTERVAL):
+        """`params` None is the default set; anything else not a Params, like a
+        reseed_interval that is not an int >= 0, raises ValueError."""
         check_int("reseed_interval", reseed_interval, 0)
-        self.params = params or default_params()
+        self.params = resolve_params(params)
         self.reseed_interval = reseed_interval
         self.generation = 0
         self.bits_emitted = 0
         # the entropy input is retained only when reseeding needs it again
         self._ent = ent if reseed_interval > 0 else None
-        self.bank: LfsrBank = initialize(hide(ent, self.params))
+        self.bank: LfsrBank = epoch_bank(ent, 0, self.params)
 
     def next_bytes(self, nbytes: int) -> bytes:
         """The next nbytes of the stream; chunked reads concatenate exactly.
@@ -70,7 +78,6 @@ class Generator:
             carry = bits[8 * packed.size:]
             if emitted == self.reseed_interval:
                 generation += 1
-                ent = derive_reseed_entropy(self._ent, generation)
-                bank, emitted = initialize(hide(ent, self.params)), 0
+                bank, emitted = epoch_bank(self._ent, generation, self.params), 0
         self.bank, self.generation, self.bits_emitted = bank, generation, emitted
         return out.tobytes()

@@ -3,7 +3,8 @@ that takes a count, size, seed or register value.
 
 A bool, a float or a string raises ValueError (`Params` its documented
 classes) before any side effect: an entry point that holds state leaves the
-bank, the generator's counters and the sink as they were.
+bank, the generator's counters and the sink as they were.  The same holds for
+a parameter set that is neither a `Params` nor None.
 """
 
 import dataclasses
@@ -95,6 +96,8 @@ ENTRY_POINTS = {
     "LfsrBank.emit_bits": _emit_bits,
     "Generator.next_bytes": _next_bytes,
     "dump_raw.nbytes": _dump_raw,
+    "Generator.params": _raises(ValueError, lambda v: Generator(ENT, v)),
+    "distinguishing_experiment.p": _raises(ValueError, lambda v: distinguishing_experiment(1000, v)),
 }
 
 
@@ -102,3 +105,15 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_non_int_argument_rejected_before_any_side_effect(entry, value, tmp_path):
     ENTRY_POINTS[entry](value, tmp_path)
+
+
+@pytest.mark.parametrize("value", [0, 5, "default"], ids=["zero", "five", "str"])
+@pytest.mark.parametrize("entry", ["Generator.params", "distinguishing_experiment.p"])
+def test_params_is_a_params_or_none(entry, value, tmp_path):
+    # a falsy non-Params does not fall back to the default set, and a truthy
+    # one fails as ValueError, not as an AttributeError deep in the call
+    ENTRY_POINTS[entry](value, tmp_path)
+
+
+def test_params_none_is_the_default_set():
+    assert Generator(ENT, None).next_bytes(16) == Generator(ENT, Params()).next_bytes(16)

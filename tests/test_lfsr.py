@@ -63,6 +63,64 @@ def test_initialize_matches_reference(params):
         assert bank.mask == bits_to_int(oracle_mask)
 
 
+def _fill_word(rng, q):
+    """A coefficient, one time in three within 64 of q."""
+    return rng.randrange(q - 64, q) if rng.random() < 1 / 3 else rng.randrange(q)
+
+
+def _branch_words(rng, q, branch):
+    """Words (u1, u2, u3, u4) of L1..L4 in one round whose comparison in the
+    next round takes `branch`: "tie" (u1^u2 == u3^u4), "swap" (u3^u4 >
+    u1^u2) or "keep" (u1^u2 > u3^u4)."""
+    while True:
+        u = [_fill_word(rng, q) for _ in range(4)]
+        if branch == "tie":
+            u[3] = u[0] ^ u[1] ^ u[2]
+            if u[3] < q:
+                return u
+        elif u[0] ^ u[1] != u[2] ^ u[3]:
+            if (u[2] ^ u[3] > u[0] ^ u[1]) != (branch == "swap"):
+                u = u[2:] + u[:2]
+            return u
+
+
+def _branch_fill(rng, q, branches):
+    """32 fill coefficients whose comparison in round r takes branches[r - 1].
+
+    Round r - 1's register words are chosen for round r's comparison, then
+    handed out in round r - 1's own fill order."""
+    coeffs = []
+    for rnd, branch in enumerate(branches + ["keep"]):
+        u = _branch_words(rng, q, branch)
+        swapped = rnd > 0 and branches[rnd - 1] == "swap"
+        coeffs += u[2:] + u[:2] if swapped else u
+    return coeffs
+
+
+def test_initialize_one_pass_fill_on_every_branch(params):
+    # each of the seven comparisons chosen per vector: ties, swaps, ties in
+    # the round after a swap and swaps in consecutive rounds, with words near q
+    rng = random.Random(131)
+    q, seen = params.q, set()
+    for _ in range(300):
+        branches = [rng.choice(["tie", "swap", "keep"]) for _ in range(7)]
+        coeffs = _branch_fill(rng, q, branches) + [_fill_word(rng, q) for _ in range(224)]
+        oracle_regs, oracle_mask = ref_initialize(coeffs)
+        regs = regs_from_oracle(oracle_regs)
+        if regs[3] == 0:
+            continue
+        # the oracle took the branches the vector was built for
+        for rnd, branch in enumerate(branches, 1):
+            w = [reg >> (32 * (rnd - 1)) & 0xFFFFFFFF for reg in regs]
+            x12, x34 = w[0] ^ w[1], w[2] ^ w[3]
+            assert branch == ("tie" if x12 == x34 else "swap" if x34 > x12 else "keep")
+            seen.add((branches[rnd - 2] if rnd > 1 else None, branch))
+        bank = initialize(fake_seed(coeffs, params))
+        assert bank.regs == regs
+        assert bank.mask == bits_to_int(oracle_mask)
+    assert {("swap", "tie"), ("swap", "swap"), ("keep", "tie"), ("tie", "swap")} <= seen
+
+
 @pytest.mark.parametrize("p", [Params(q=16776961, degree=64), Params(q=257, degree=64)],
                          ids=["widest_q", "degree64"])
 def test_initialize_matches_reference_at_other_geometries(p):

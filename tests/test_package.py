@@ -39,3 +39,14 @@ def test_runtime_imports_no_scipy(tmp_path):
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
     assert key.stat().st_size == 32
+
+
+def test_python_dash_m_runs_the_cli():
+    # `python -m lwerng` is the console script: generate writes the library's bytes
+    seed = bytes(range(32)).hex()
+    src = str(Path(lwerng.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-m", "lwerng", "generate", "--bytes", "16",
+                          "--seed-hex", seed],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == lwerng.Generator(lwerng.EntropyInput.from_hex(seed)).next_bytes(16)

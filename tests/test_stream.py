@@ -11,7 +11,7 @@ from lwerng.errors import DegenerateState
 from lwerng.lfsr import BankState, LfsrBank, initialize
 from lwerng.lwe_hiding import hide
 from lwerng.sampling import EntropyInput, derive_reseed_entropy
-from lwerng.stream import DEFAULT_RESEED_INTERVAL, Generator
+from lwerng.stream import DEFAULT_RESEED_INTERVAL, Generator, epoch_bank
 
 from conftest import fixed_ent
 from oracles import MASK_BITS, IntBank, int_emit
@@ -277,3 +277,14 @@ def test_failed_read_of_any_kind_changes_nothing(ent_zero, monkeypatch):
     assert gen.bank is bank and (gen.generation, gen.bits_emitted) == (0, 24)
     monkeypatch.undo()
     assert gen.next_bytes(13) == fresh[3:]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_epoch_bank_is_the_bank_after_k_reseeds(ent_zero, params, k):
+    # a read that ends exactly on the k-th reseed leaves the fresh bank of
+    # epoch k, no bits pending
+    interval = 1000 * 8
+    gen = Generator(ent_zero, params, reseed_interval=interval)
+    gen.next_bytes(k * interval // 8)
+    assert (gen.generation, gen.bits_emitted) == (k, 0)
+    assert gen.bank.state() == epoch_bank(ent_zero, k, params).state()
