@@ -285,6 +285,14 @@ class LfsrBank:
             np.frombuffer(mask.to_bytes(mask_bits // 8, "little"), np.uint8),
             bitorder="little")
 
+    def __copy__(self) -> "LfsrBank":
+        """A shallow copy with the attributes copied directly; copy.copy's
+        generic path through __reduce_ex__ is several times slower on a
+        fresh key's first read."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        return twin
+
     def state(self) -> BankState:
         """The bank's state now, pending bits included."""
         return BankState(tuple(self.regs), self.mask, self.coeff_cursor, self.mask_cursor,
