@@ -74,13 +74,16 @@ def reduce_mod(x: np.ndarray, q: int) -> np.ndarray:
 def _transform(a, matrix, q: int) -> np.ndarray:
     """a @ matrix mod q over the last axis, exact for |a| < q (see ntt).
 
-    `a` is cast to float64 once (not at all if it is float64 already); the
+    `a` is cast to float64 once, not at all if it is float64 already; the
     product comes back as exact integers of either sign, and `reduce_mod`
     brings them into [0, q) in the int64 array they are cast to.
     """
-    a = np.asarray(a, dtype=np.float64)
-    # all polynomials as the rows of one 2-D operand: one product, not one per batch
-    out = (a.reshape(-1, matrix.shape[0]) @ matrix).astype(np.int64)
+    a = np.asarray(a)
+    # all polynomials as the rows of one 2-D operand: one product, not one
+    # per batch; the float64 operand is a temporary, freed before the int64
+    # result is reduced
+    out = (a.reshape(-1, matrix.shape[0]).astype(np.float64, copy=False)
+           @ matrix).astype(np.int64)
     return reduce_mod(out, q).reshape(a.shape)
 
 

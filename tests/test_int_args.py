@@ -97,7 +97,8 @@ ENTRY_POINTS = {
     "Generator.next_bytes": _next_bytes,
     "dump_raw.nbytes": _dump_raw,
     "Generator.params": _raises(ValueError, lambda v: Generator(ENT, v)),
-    "distinguishing_experiment.p": _raises(ValueError, lambda v: distinguishing_experiment(1000, v)),
+    "distinguishing_experiment.p": _raises(
+        ValueError, lambda v: distinguishing_experiment(1000, v)),
 }
 
 
