@@ -13,8 +13,9 @@ ones.  Every run's end-to-end metrics are printed with `correct` and
 the change won and whether a gain may be claimed: at least ten pairs ran,
 the change won at least nine tenths of them (ties count for neither) and
 the medians differ, in the better direction, by more than the parent's
-quartile spread.  Last comes the no-regression verdict against the metric's
-bound, a fraction of the parent's median (see `verdict`).
+quartile spread.  Then comes the no-regression verdict against the metric's
+bound, a fraction of the parent's median (see `verdict`).  Last, the medians
+of the workload's own figures unscaled, from each run's details line.
 
 The metric names, directions and bounds are read from the BENCHMARK.json
 next to this file's directory, which the tool does not change.  Only the
@@ -71,15 +72,17 @@ def verdict(parent: list, change: list, better: str, bound: float) -> str:
     return "within bound"
 
 
-def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one harness run in checkout `root`."""
+def run_once(root: str, workload: str, seed: int, seconds: float) -> tuple:
+    """The result line of one harness run in checkout `root`, and the raw
+    (unscaled) workload figures of its details line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{root}: run.py exited {proc.returncode}: {proc.stderr.strip()}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    details, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
+    return result, details["workload"]["raw"]
 
 
 def main(argv=None) -> int:
@@ -93,12 +96,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     metrics = {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     runs = {"parent": [], "change": []}
+    raws = {"parent": [], "change": []}
     for i in range(args.pairs):
         seed = args.seed0 + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            res = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            res, raw = run_once(getattr(args, side), args.workload, seed, args.seconds)
             runs[side].append(res)
+            raws[side].append(raw)
             values = " ".join(f"{name}={res['metrics'][name]['value']:.4g}" for name in metrics)
             print(f"pair {i} seed {seed} {side:6s} {values} correct={res['correct']} "
                   f"failed={res['failed']}/{res['attempted']}", flush=True)
@@ -111,6 +116,9 @@ def main(argv=None) -> int:
               f"{s['parent_q3']:.4g}, change won {s['wins']}/{s['pairs']}, "
               f"claim {'met' if s['claim_met'] else 'not met'}, "
               f"{verdict(parent, change, m['better'], m['bound'])} ({m['bound']:g})")
+    for name in raws["parent"][0]:
+        medians = [statistics.median(r[name] for r in raws[side]) for side in ("parent", "change")]
+        print(f"raw {name}: median {medians[0]:.4g} -> {medians[1]:.4g}")
     return 0
 
 
