@@ -230,9 +230,8 @@ def _hiding_draws(rng, t: int, p: Params) -> tuple:
     """
     q = p.q
     d = p.degree
-    # centred secret in [-eta, eta]: ntt is exact for |x| < q, so no % q
-    s = rng.integers(0, 2 * p.eta + 1, size=(t, p.n, d), dtype=np.int64)
-    s -= p.eta
+    # centred secret in [-eta, eta], as sample_secret draws it
+    s = rng.integers(-p.eta, p.eta + 1, size=(t, p.n, d), dtype=np.int64)
     s_hat = polyring.ntt(s, p)
     # the secret and, after the rows, its transform go as soon as they are
     # used: the stage then peaks at its products and two error draws, below

@@ -3,13 +3,17 @@
 This is the package's one ring.  A polynomial is the last axis of an int64
 array, so an array of shape (..., degree) holds any batch of polynomials:
 the designated row's matrix entries and the secret, stacked, in `hide`; a
-whole chunk of trials in the distinguishing experiment.  Every coefficient
-is reduced into [0, q).  Multiplication runs through the negacyclic
-number-theoretic transform, applied as one dense degree x degree float64
-matrix product over all leading axes at once.  That product is exact for
-every input below q in absolute value because `validate` admits only rings
-with degree * (q - 1) * floor(q/2) < 2^53 (see `ntt`).  In int64 a product
-of two reduced coefficients is below 2^52, and since `validate` bounds n by
+whole chunk of trials in the distinguishing experiment.  A transform's
+input may be any integers with |x| < q, so the centred secrets of `hide`
+and of the experiment go in as drawn; the transforms' outputs, the row sums
+that feed the inverse and `lwe_hiding._combine` reduce into [0, q), and
+nothing else reduces.
+Multiplication runs through the negacyclic number-theoretic transform,
+applied as one dense degree x degree float64 matrix product over all
+leading axes at once.  That product is exact for every input below q in
+absolute value because `validate` admits only rings with
+degree * (q - 1) * floor(q/2) < 2^53 (see `ntt`).  In int64 a product of
+two reduced coefficients is below 2^52, and since `validate` bounds n by
 256, the unreduced row sums of `mat_vec_mul` stay below
 256 * (q - 1)^2 < 2^60.  Both reductions, of the transform's output and of
 those row sums, go through `reduce_mod`: x - (x // q) * q in place.  numpy

@@ -16,7 +16,6 @@ bit read from a byte is its bit 0.
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -113,28 +112,18 @@ def expand_matrix(ent: EntropyInput, p: Params) -> np.ndarray:
 
 
 def sample_secret(ent: EntropyInput, p: Params) -> np.ndarray:
-    """Secret vector, (n, degree): coefficients uniform on {-eta..eta} mod q.
+    """Secret vector, (n, degree): int64 coefficients uniform on {-eta..eta}.
 
     Rejection sampling on bitlen(2*eta)-bit reads; for eta = 1 that is
     2-bit reads with the single pattern 3 rejected.
     """
     k = (2 * p.eta).bit_length()
     v = _accepted([_xof(ent, bytes([LABEL_SECRET]))], k, k, 2 * p.eta + 1, p.n * p.degree)
-    return _residues(p.eta, p.q).take(v).reshape(p.n, p.degree)
-
-
-@lru_cache(maxsize=4)
-def _residues(eta: int, q: int) -> np.ndarray:
-    """Read-only int64 table: entry v is v - eta mod q, for a secret read v.
-
-    One lookup is cheaper than a modulo."""
-    table = (np.arange(2 * eta + 1) - eta) % q
-    table.setflags(write=False)
-    return table
+    return np.subtract(v, p.eta, dtype=np.int64).reshape(p.n, p.degree)
 
 
 def sample_error(ent: EntropyInput, p: Params) -> np.ndarray:
-    """Error polynomial, (degree,): centered binomial of parameter eta, mod q.
+    """Error polynomial, (degree,): int64, centered binomial of parameter eta.
 
     Per coefficient, eta bits minus eta bits; for eta = 1 this gives
     P(0) = 1/2 and P(+-1) = 1/4 on support {-1, 0, 1}.
@@ -142,7 +131,7 @@ def sample_error(ent: EntropyInput, p: Params) -> np.ndarray:
     nbits = 2 * p.eta * p.degree
     bits = _bits(_xof(ent, LABEL_ERROR).digest((nbits + 7) // 8))[:nbits]
     ab = bits.reshape(p.degree, 2, p.eta).sum(axis=-1, dtype=np.int64)
-    return (ab[:, 0] - ab[:, 1]) % p.q
+    return ab[:, 0] - ab[:, 1]
 
 
 def seed_payload(ent: EntropyInput, p: Params) -> np.ndarray:

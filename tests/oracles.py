@@ -86,7 +86,7 @@ def ref_sample_secret(ent, p):
         while len(coeffs) < p.degree:
             v = reader.read_bits(k)
             if v <= 2 * p.eta:
-                coeffs.append((v - p.eta) % p.q)
+                coeffs.append(v - p.eta)
         out.append(coeffs)
     return out
 
@@ -97,7 +97,7 @@ def ref_sample_error(ent, p):
     for _ in range(p.degree):
         a = reader.read_bits(p.eta).bit_count()
         b = reader.read_bits(p.eta).bit_count()
-        coeffs.append((a - b) % p.q)
+        coeffs.append(a - b)
     return coeffs
 
 

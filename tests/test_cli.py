@@ -136,6 +136,18 @@ def test_stats_failed_test_exits_2(monkeypatch, capsys):
     assert out.count("FAIL") == 2 and "PASS" in out
 
 
+def test_stats_exit_code_follows_the_verdict(monkeypatch, capsys):
+    # the exit code reads each report's verdict, not its p-value
+    monkeypatch.setattr("lwerng.cli.run_battery",
+                        lambda source, nbits: [TestReport("x", 0.0, 0.5, "fail")])
+    code, out, _ = run(["stats", "--seed-hex", SEED, "--bits", "1000000"], capsys)
+    assert code == 2 and "FAIL" in out
+    monkeypatch.setattr("lwerng.cli.run_battery",
+                        lambda source, nbits: [TestReport("x", 0.0, 0.0, "pass")])
+    code, _, _ = run(["stats", "--seed-hex", SEED, "--bits", "1000000"], capsys)
+    assert code == 0
+
+
 def test_stats_json_writes_inf_statistic_as_null(monkeypatch, capsys):
     monkeypatch.setattr("lwerng.cli.run_battery", failing_battery)
     code, out, _ = run(["stats", "--seed-hex", SEED, "--bits", "1000000", "--json"], capsys)

@@ -214,8 +214,12 @@ def test_mat_vec_matches_loop_oracle(toy_params):
         mat = [[rand_poly(rng, toy_params) for _ in range(toy_params.n)]
                for _ in range(2)]
         s = [rand_poly(rng, toy_params) for _ in range(toy_params.n)]
-        assert pr.mat_vec_mul(mat, s, toy_params).tolist() == \
-            loop_mat_vec(mat, s, toy_params.q)
+        # a centred secret, in [-eta, eta] as sample_secret returns it
+        centred = [[rng.randint(-toy_params.eta, toy_params.eta)
+                    for _ in range(toy_params.degree)] for _ in range(toy_params.n)]
+        for vec in (s, centred):
+            assert pr.mat_vec_mul(mat, vec, toy_params).tolist() == \
+                loop_mat_vec(mat, vec, toy_params.q)
 
 
 def test_mat_vec_dimension_mismatch(toy_params):

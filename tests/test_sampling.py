@@ -74,7 +74,7 @@ def test_matrix_uniformity_chi_square(params):
 def test_secret_support(ent_zero, params):
     s = sample_secret(ent_zero, params).tolist()
     assert len(s) == params.n
-    allowed = {0, 1, params.q - 1}
+    allowed = {-1, 0, 1}
     for poly in s:
         assert set(poly) <= allowed
 
@@ -86,7 +86,7 @@ def test_secret_uniform_on_support(params):
     while total < 1_000_000:
         for poly in sample_secret(fixed_ent(tag), params).tolist():
             for c in poly:
-                counts[c if c <= 1 else c - params.q] += 1
+                counts[c] += 1
                 total += 1
         tag += 1
     for v in (-1, 0, 1):
@@ -99,8 +99,7 @@ def test_error_support_bounded(params):
         e = sample_error(fixed_ent(tag), params).tolist()
         assert len(e) == params.degree
         for c in e:
-            centered = c if c <= params.eta else c - params.q
-            assert abs(centered) <= params.eta
+            assert abs(c) <= params.eta
 
 
 def test_error_centered_binomial_frequencies(params):
@@ -109,7 +108,7 @@ def test_error_centered_binomial_frequencies(params):
     tag = 2000
     while total < 1_000_000:
         for c in sample_error(fixed_ent(tag), params).tolist():
-            counts[c if c <= 1 else c - params.q] += 1
+            counts[c] += 1
             total += 1
         tag += 1
     assert abs(counts[0] / total - 0.5) < 0.005
