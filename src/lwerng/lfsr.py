@@ -413,22 +413,12 @@ def initialize(hs: HiddenSeed) -> LfsrBank:
     Consumes coefficients 0..31 as register words under the master-monitored
     schedule and the rest as the whitening mask (rule 1 above).
 
+    It reads b as HiddenSeed checked it, degree int64 values in [0, q).
     Raises DegenerateState if the polynomial leaves no mask words or the
-    master register fills with zeros (it could never emit); ValueError
-    unless the polynomial is exactly degree coefficients in [0, q).
+    master register fills with zeros (it could never emit).
     """
-    p = hs.params
+    p, words = hs.params, hs.b
     _mask_width(p)  # before the fill: a shorter polynomial cannot fill it
-    # array("q") takes ints only (a float or a string raises, where a numpy
-    # cast would truncate or parse it); one maximum then checks both ends, a
-    # negative word reading as at least 2^63 unsigned
-    try:
-        words = np.frombuffer(array("q", hs.b), np.int64)
-    except (TypeError, OverflowError):
-        words = None
-    if words is None or words.size != p.degree or words.view(np.uint64).max() >= p.q:
-        raise ValueError(
-            f"designated polynomial must be {p.degree} coefficients in [0, {p.q})")
 
     # the registers word by word, from Python ints: an int64 scalar would
     # overflow past bit 63

@@ -36,13 +36,22 @@ from .sampling import (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class HiddenSeed:
-    """The concealed seed b = A[0]*s + e_0 + r_0*floor(q/2), the one
-    polynomial `hide` computes, as a list of degree ints; and its parameters."""
+    """The concealed seed b = A[0]*s + e_0 + r_0*floor(q/2), the one polynomial
+    `hide` computes, and its parameters.  b is checked only here: an int64 array
+    of degree values in [0, q), else ValueError; it is held read-only, a view as a copy."""
 
-    b: list
+    b: np.ndarray
     params: Params
+
+    def __post_init__(self):
+        b, p = self.b, self.params
+        if not (isinstance(b, np.ndarray) and b.dtype == np.int64 and b.shape == (p.degree,)
+                and b.view(np.uint64).max() < p.q):  # a negative value is >= 2^63 unsigned
+            raise ValueError(f"b must be an int64 array of {p.degree} values in [0, {p.q})")
+        self.b = b = b if b.base is None else b.copy()  # a view's base could still be written
+        b.flags.writeable = False
 
 
 def hide(ent: EntropyInput, p: Params) -> HiddenSeed:
@@ -50,13 +59,12 @@ def hide(ent: EntropyInput, p: Params) -> HiddenSeed:
 
     Deterministic in `ent`: the designated matrix row, the secret, the
     error polynomial and the payload expand from it under their domain
-    labels.
+    labels.  b is `_combine`'s int64 array, frozen by HiddenSeed.
     """
     prod = polyring.mat_vec_mul(expand_matrix(ent, p), sample_secret(ent, p), p)[0]
     e = sample_error(ent, p)
     r = seed_payload(ent, p)
-    # a list of ints, as HiddenSeed documents: callers compare b with ==
-    return HiddenSeed(b=_combine(prod, e, r, p).tolist(), params=p)
+    return HiddenSeed(b=_combine(prod, e, r, p), params=p)
 
 
 def _combine(prod, e, r, p: Params) -> np.ndarray:

@@ -46,6 +46,8 @@ class EntropyInput:
 
 
 def _xof(ent: EntropyInput, label: bytes):
+    if not isinstance(ent, EntropyInput):  # the one place an entropy input is read
+        raise ValueError(f"entropy input must be an EntropyInput, not {type(ent).__name__}")
     return hashlib.shake_256(ent.data + label)
 
 

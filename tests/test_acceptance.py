@@ -121,7 +121,7 @@ def test_criterion_04_hiding_algebra(toy_params):
     for tag in range(50):
         hs = hide(fixed_ent(tag), toy_params)
         a, s, e, r = hide_transcript(fixed_ent(tag), toy_params)
-        assert hs.b == hide_oracle(a, s, e, r, toy_params.q)
+        assert hs.b.tolist() == hide_oracle(a, s, e, r, toy_params.q)
     verdict(4, "hiding-algebra", True,
             f"{hides} designated-row replays exact; 50 toy-ring hides match the oracle")
 
@@ -163,7 +163,7 @@ def test_criterion_06_bit_budget():
     )
     identities = identities and fill_words == sorted(hs.b[:32])
     mask_words = [(bank.mask >> (32 * i)) & 0xFFFFFFFF for i in range(224)]
-    identities = identities and mask_words == hs.b[32:]
+    identities = identities and mask_words == hs.b[32:].tolist()
     verdict(6, "bit-budget", identities,
             "8192 = 256x32 split as 4x256 register bits + 7168 mask bits")
 

@@ -4,7 +4,8 @@ that takes a count, size, seed or register value.
 A bool, a float or a string raises ValueError (`Params` its documented
 classes) before any side effect: an entry point that holds state leaves the
 bank, the generator's counters and the sink as they were.  The same holds for
-a parameter set that is neither a `Params` nor None.
+a parameter set that is neither a `Params` nor None, and for an entropy input
+that is not an `EntropyInput`.
 """
 
 import dataclasses
@@ -13,10 +14,10 @@ import pytest
 
 from lwerng.errors import InconsistentLayout, InvalidModulus
 from lwerng.lfsr import LfsrBank
-from lwerng.lwe_hiding import distinguishing_experiment
+from lwerng.lwe_hiding import distinguishing_experiment, hide
 from lwerng.params import Params
 from lwerng.qkd import run_session
-from lwerng.sampling import EntropyInput
+from lwerng.sampling import EntropyInput, derive_reseed_entropy
 from lwerng.stats import dump_raw, run_battery, scatter_indexes
 from lwerng.stream import Generator
 
@@ -114,6 +115,25 @@ def test_params_is_a_params_or_none(entry, value, tmp_path):
     # a falsy non-Params does not fall back to the default set, and a truthy
     # one fails as ValueError, not as an AttributeError deep in the call
     ENTRY_POINTS[entry](value, tmp_path)
+
+
+# the entropy-input rule, checked where an entropy input is read
+# (`sampling._xof`): anything but an EntropyInput, its raw bytes included,
+# raises ValueError
+ENTROPY_ENTRY_POINTS = {
+    "Generator": lambda v: Generator(v),
+    "hide": lambda v: hide(v, Params()),
+    "run_session": lambda v: run_session(v, OTHER, 8),
+    "derive_reseed_entropy": lambda v: derive_reseed_entropy(v, 1),
+}
+
+
+@pytest.mark.parametrize("value", [bytes(32), bytearray(32), "00" * 32],
+                         ids=["bytes", "bytearray", "hex"])
+@pytest.mark.parametrize("entry", ENTROPY_ENTRY_POINTS)
+def test_entropy_input_must_be_an_entropy_input(entry, value):
+    with pytest.raises(ValueError):
+        ENTROPY_ENTRY_POINTS[entry](value)
 
 
 def test_params_none_is_the_default_set():

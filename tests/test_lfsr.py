@@ -22,9 +22,13 @@ from oracles import (
 )
 
 
+def int64(coeffs):
+    return np.array(coeffs, dtype=np.int64)
+
+
 def fake_seed(coeffs, params):
     """HiddenSeed wrapper around explicit designated-polynomial coefficients."""
-    return HiddenSeed(b=list(coeffs), params=params)
+    return HiddenSeed(b=int64(coeffs), params=params)
 
 
 def regs_from_oracle(oracle_regs):
@@ -190,24 +194,38 @@ def counting_with(index, value):
     return coeffs
 
 
-@pytest.mark.parametrize("coeffs", [
-    list(range(1, 256)),
-    list(range(1, 258)),
-    list(range(1, 11)),
-    [-1] + list(range(1, 256)),
-    [8380417] + list(range(1, 256)),
-    [1 << 32] + list(range(1, 256)),
-    counting_with(100, 1.5),
-    counting_with(30, 2.9),
-    counting_with(100, "7"),
-    counting_with(5, 3.0),
+@pytest.mark.parametrize("b", [
+    int64(range(1, 256)),
+    int64(range(1, 258)),
+    int64(range(1, 11)),
+    int64([-1] + list(range(1, 256))),
+    int64([8380417] + list(range(1, 256))),
+    int64([1 << 32] + list(range(1, 256))),
+    np.array(counting_with(100, 1.5)),
+    np.array(counting_with(30, 2.9)),
+    np.array(counting_with(100, "7")),
+    np.array(counting_with(5, 3.0)),
+    list(range(1, 257)),
 ], ids=["short", "long", "ten", "negative", "q", "two_to_32", "fraction", "fraction_in_fill",
-        "string", "integral_float"])
-def test_initialize_rejects_malformed_polynomial(params, coeffs):
-    # a public HiddenSeed may carry any list; only degree coefficients in
-    # [0, q) are a designated polynomial
+        "string", "integral_float", "list"])
+def test_hidden_seed_rejects_malformed_polynomial(params, b):
+    # only an int64 array of degree coefficients in [0, q) is a designated
+    # polynomial: a float or str array, or a list of valid ints, is not
     with pytest.raises(ValueError):
-        initialize(fake_seed(coeffs, params))
+        HiddenSeed(b=b, params=params)
+
+
+def test_hidden_seed_holds_b_read_only(params):
+    mine = int64(range(1, 257))
+    hs = HiddenSeed(b=mine, params=params)
+    assert hs.b is mine and not mine.flags.writeable
+    # a view is held as a copy, so writing its base cannot reach b
+    base = int64(range(1, 257))
+    hs = HiddenSeed(b=base[:], params=params)
+    base[0] = params.q
+    assert hs.b[0] == 1
+    with pytest.raises(ValueError):
+        hs.b[0] = 2
 
 
 def test_fill_bit_layout(params):

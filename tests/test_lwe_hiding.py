@@ -23,9 +23,9 @@ from oracles import conv_negacyclic, distinguisher_hits_oracle, hide_oracle, hid
 
 
 def test_hide_deterministic_1000_calls(ent_zero, params):
-    first = hide(ent_zero, params).b
+    first = hide(ent_zero, params).b.tolist()
     for _ in range(999):
-        assert hide(ent_zero, params).b == first
+        assert hide(ent_zero, params).b.tolist() == first
 
 
 def test_designated_polynomial_fills_8192_bits(ent_zero, params):
@@ -36,11 +36,19 @@ def test_designated_polynomial_fills_8192_bits(ent_zero, params):
     assert 256 * 32 == 4 * 256 + initialize(hs).mask_bits == 8192
 
 
+def test_hidden_seed_is_a_read_only_int64_array(ent_zero, params, toy_params):
+    for p in (params, toy_params):
+        b = hide(ent_zero, p).b
+        assert b.dtype == np.int64 and b.shape == (p.degree,)
+        with pytest.raises(ValueError):
+            b[0] = 1
+
+
 def test_toy_hide_matches_schoolbook_oracle(toy_params):
     for tag in range(20):
         hs = hide(fixed_ent(tag), toy_params)
         a, s, e, r = hide_transcript(fixed_ent(tag), toy_params)
-        assert hs.b == hide_oracle(a, s, e, r, toy_params.q)
+        assert hs.b.tolist() == hide_oracle(a, s, e, r, toy_params.q)
 
 
 def test_widest_row_hides_exactly():
@@ -48,7 +56,7 @@ def test_widest_row_hides_exactly():
     p = Params(q=97, n=256, degree=16)
     for tag in range(2):
         hs = hide(fixed_ent(tag), p)
-        assert hs.b == hide_oracle(*hide_transcript(fixed_ent(tag), p), p.q)
+        assert hs.b.tolist() == hide_oracle(*hide_transcript(fixed_ent(tag), p), p.q)
     with pytest.raises(InconsistentLayout):
         Params(q=97, n=257, degree=16)
 

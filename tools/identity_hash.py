@@ -7,8 +7,9 @@ It imports lwerng from the `src/` next to this file and hashes, in order:
 1. the `to_json()` of `distinguishing_experiment(trials, p, mode=m, seed=s)`
    for p in (default, eta = 2, q = 257 / n = 2 / degree = 64), m in `MODES`
    order and (s, trials) in ((0, 1000), (7, 5000));
-2. `repr(hide(ent, default_params()).b)` for the 200 entropies
-   SHAKE-256(t as 2 big-endian bytes), t = 0..199;
+2. `repr(hide(ent, default_params()).b.tolist())` for the 200 entropies
+   SHAKE-256(t as 2 big-endian bytes), t = 0..199: the values of b as a
+   list of ints, whatever container `HiddenSeed` holds them in;
 3. `ntt(x).tobytes()` and `inv_ntt(x).tobytes()` of 37 random rows in
    (-q, q) at the default ring and at q = 257 / n = 2 / degree = 64, drawn
    in that order from one `default_rng(9)`;
@@ -46,7 +47,7 @@ def main() -> None:
                 h.update(report.to_json().encode())
     for t in range(200):
         ent = EntropyInput(hashlib.shake_256(t.to_bytes(2, "big")).digest(32))
-        h.update(repr(hide(ent, default_params()).b).encode())
+        h.update(repr(hide(ent, default_params()).b.tolist()).encode())
     rng = np.random.default_rng(9)
     for p in (default_params(), small):
         x = rng.integers(-(p.q - 1), p.q, size=(37, p.degree))
