@@ -34,11 +34,16 @@ class IdenticalSeeds(LwerngError):
     """Two parties were given the same entropy input."""
 
 
-def check_int(name: str, value, low: int = None, error: type = ValueError) -> None:
+def check_int(name: str, value, low: int = None, error: type = ValueError,
+              high: int = None) -> None:
     """The integer-argument rule: `value` must be a Python int, not a bool (nor a
-    numpy integer or a float), and at least `low` if given; else `error` names
-    `name`.  Entry points check it before any side effect."""
+    numpy integer or a float), and in [`low`, `high`] where given; else `error`
+    names `name` and the bound.  Entry points check it before any side effect."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise error(f"{name}={value!r} must be an int")
     if low is not None and value < low:
         raise error(f"{name}={value!r} must be an int >= {low}")
+    if high is not None and value > high:
+        # a mask's bound runs to thousands of digits: write it 2^k - 1, omit the value
+        bound = f"2^{high.bit_length()} - 1" if high >> 64 and not high & (high + 1) else high
+        raise error(f"{name} must be an int <= {bound}")

@@ -252,34 +252,26 @@ class LfsrBank:
 
         Raises ValueError on state the machine cannot hold: other than four
         registers, a register, mask or cursor that is not an int (a bool is
-        not one), pending bits that are not bytes, or any of them out of range.
+        not one) or is out of range, or pending bits not bytes of 0 and 1.
         """
         mask_bits = _mask_width(params)
-        regs, mask = list(state.regs), state.mask
+        regs, mask, pending = list(state.regs), state.mask, state.pending
         if len(regs) != _REGS:
             raise ValueError(f"{len(regs)} registers, not {_REGS}")
-        for name, value in zip(("L1", "L2", "L3", "L4", "mask", "coeff_cursor", "mask_cursor"),
-                               (*regs, mask, state.coeff_cursor, state.mask_cursor)):
-            check_int(name, value, 0)
-        if not isinstance(state.pending, (bytes, bytearray)):
-            raise ValueError("pending bits must be bytes")
-        if max(regs) > _REG_MASK:
-            raise ValueError(f"registers must lie in [0, 2^{_REG_BITS})")
-        if mask >> mask_bits:
-            raise ValueError(f"mask must lie in [0, 2^{mask_bits})")
-        if state.coeff_cursor >= _CURSORS:
-            raise ValueError(f"coeff_cursor={state.coeff_cursor} is not in [0, {_CURSORS})")
-        if state.mask_cursor >= mask_bits:
-            raise ValueError(f"mask_cursor={state.mask_cursor} is not in [0, {mask_bits})")
-        if state.pending.translate(None, b"\0\1"):
-            raise ValueError("pending bits must be 0 or 1")
+        for name, value, high in zip(
+                ("L1", "L2", "L3", "L4", "mask", "coeff_cursor", "mask_cursor"),
+                (*regs, mask, state.coeff_cursor, state.mask_cursor),
+                (*[_REG_MASK] * _REGS, (1 << mask_bits) - 1, _CURSORS - 1, mask_bits - 1)):
+            check_int(name, value, 0, high=high)
+        if not isinstance(pending, (bytes, bytearray)) or pending.translate(None, b"\0\1"):
+            raise ValueError("pending bits must be bytes of 0 and 1")
         self.params = params
         self.mask_bits = mask_bits
         self.regs = regs
         self.mask = mask
         self.coeff_cursor = state.coeff_cursor
         self.mask_cursor = state.mask_cursor
-        self._buf = np.frombuffer(state.pending, np.uint8).copy()
+        self._buf = np.frombuffer(pending, np.uint8).copy()
         # the mask as one uint8 per bit, mask bit 0 first
         self._mask_unpacked = np.unpackbits(
             np.frombuffer(mask.to_bytes(mask_bits // 8, "little"), np.uint8),

@@ -153,12 +153,12 @@ def distinguishing_experiment(
 
     Each distinguisher maps one sample (_SAMPLE_ROWS*degree coefficients)
     to {0, 1}; the advantage is |hit_rate_a - hit_rate_b| with a binomial
-    sigma.  A trials or seed that is a bool or not an int raises ValueError,
-    as does a p that is neither a Params nor None (the default set).
+    sigma.  ValueError: a trials or seed that is not an int (a bool is not
+    one), a negative seed, or a p neither a Params nor None (the default set).
     """
     p = resolve_params(p)
     check_int("trials", trials)
-    check_int("seed", seed)
+    check_int("seed", seed, 0)
     if trials < MIN_TRIALS:
         raise InsufficientTrials(f"trials={trials} < {MIN_TRIALS}")
     if mode not in MODES:

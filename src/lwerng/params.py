@@ -100,27 +100,25 @@ def validate(p: Params) -> None:
 
     Raises:
         InvalidModulus: q or degree is not an int (a bool is not one); q
-            is below 3 or even, fails q = 1 (mod 2*degree), the bound q < 2^26,
+            is outside [3, 2^26), even, fails q = 1 (mod 2*degree),
             primality or the transform bound above; or degree is not a
             power of two in [2, 2^10].
-        InconsistentLayout: n or eta is not an int or not positive,
-            n > 256, or 2*eta >= q.
+        InconsistentLayout: n or eta is not an int, n is outside [1, 256],
+            eta is below 1, or 2*eta >= q.
     """
-    for name, low, error in (("q", 3, InvalidModulus), ("degree", 2, InvalidModulus),
-                             ("n", 1, InconsistentLayout), ("eta", 1, InconsistentLayout)):
-        check_int(name, getattr(p, name), low, error)
+    # q < 2^26: products of reduced coefficients stay below 2^52, which leaves
+    # int64 headroom for the row sums of mat_vec_mul (see polyring)
+    for name, low, high, error in (("q", 3, (1 << 26) - 1, InvalidModulus),
+                                   ("degree", 2, 1 << 10, InvalidModulus),
+                                   ("n", 1, 256, InconsistentLayout),
+                                   ("eta", 1, None, InconsistentLayout)):
+        check_int(name, getattr(p, name), low, error, high)
     if p.q % 2 == 0:
         raise InvalidModulus(f"q={p.q} must be odd")
     if p.degree & (p.degree - 1):
         raise InvalidModulus(f"degree={p.degree} must be a power of two")
-    if p.degree > 1 << 10:
-        raise InvalidModulus(f"degree={p.degree} is above 2^10")
     if (p.q - 1) % (2 * p.degree) != 0:
         raise InvalidModulus(f"q={p.q} is not 1 mod {2 * p.degree}")
-    if p.q >= 1 << 26:
-        # products of reduced coefficients stay below 2^52, which leaves int64
-        # headroom for the row sums of mat_vec_mul (see polyring)
-        raise InvalidModulus(f"q={p.q} is not below 2^26")
     if p.degree * (p.q - 1) * (p.q // 2) >= 1 << 53:
         raise InvalidModulus(
             f"q={p.q} at degree {p.degree} is too wide for one exact float64 transform"
@@ -128,7 +126,5 @@ def validate(p: Params) -> None:
     if not _is_prime(p.q):
         # a prime q = 1 (mod 2*degree) has the 2*degree-th roots psi needs
         raise InvalidModulus(f"q={p.q} is not prime")
-    if p.n > 256:
-        raise InconsistentLayout(f"n={p.n} is above 256")
     if 2 * p.eta >= p.q:
         raise InconsistentLayout(f"2*eta={2 * p.eta} is not below q={p.q}")

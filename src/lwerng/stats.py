@@ -93,13 +93,19 @@ class TestReport:
         )
 
 
-def _take_bytes(source, nbytes: int) -> bytes:
-    """Materialize nbytes from a bytes-like buffer or a generator object."""
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        if len(source) < nbytes:
-            raise InsufficientBits(f"buffer holds {len(source)} bytes, need {nbytes}")
-        return bytes(source[:nbytes])
-    return source.next_bytes(nbytes)
+def _take_bytes(source, nbytes: int):
+    """The next nbytes of a `Generator`, or a view of the first nbytes of a buffer
+    that `memoryview` casts to bytes, a C-contiguous numpy array too; else ValueError."""
+    if isinstance(source, Generator):
+        return source.next_bytes(nbytes)
+    try:
+        view = memoryview(source).cast("B")
+    except TypeError:
+        raise ValueError(
+            f"not a Generator or C-contiguous buffer: {type(source).__name__}") from None
+    if len(view) < nbytes:
+        raise InsufficientBits(f"buffer holds {len(view)} bytes, need {nbytes}")
+    return view[:nbytes]
 
 
 def run_battery(source, nbits: int) -> list:

@@ -275,9 +275,10 @@ def test_injected_state_without_mask_words_rejected():
         "pending_str"])
 def test_injected_state_out_of_range_rejected(params, state):
     # state the machine cannot hold fails at injection, not somewhere in
-    # emission; each case moves one field of an accepted state out of range
-    valid = dict(regs=(1, 2, 3, 4), mask=5, coeff_cursor=7, mask_cursor=7167,
-                 pending=b"\x01\x00")
+    # emission; each case moves one field of an accepted state out of range.
+    # The accepted state holds every field's upper edge but L1..L3's.
+    valid = dict(regs=(1, 2, 3, (1 << 256) - 1), mask=(1 << 7168) - 1, coeff_cursor=7,
+                 mask_cursor=7167, pending=b"\x01\x00")
     LfsrBank(params, BankState(**valid))
     with pytest.raises(ValueError):
         LfsrBank(params, BankState(**{**valid, **state}))

@@ -49,6 +49,25 @@ def test_battery_requires_enough_bits():
         run_battery(bytes(10), N_BITS)  # buffer shorter than requested
 
 
+def test_battery_reads_a_numpy_buffer_as_its_bytes():
+    data = shake_stream(N_BITS // 8)
+    arr = np.frombuffer(data, np.uint8)
+    assert run_battery(arr, N_BITS) == run_battery(data, N_BITS)
+    assert list(scatter_indexes(arr, 1000)) == list(scatter_indexes(data, 1000))
+
+
+@pytest.mark.parametrize("source", [N_BITS, "0" * N_BITS, np.zeros(N_BITS // 4, np.uint8)[::2]],
+                         ids=["int", "str", "strided_array"])
+@pytest.mark.parametrize("read", [lambda s: run_battery(s, N_BITS),
+                                  lambda s: scatter_indexes(s, 1000)],
+                         ids=["run_battery", "scatter_indexes"])
+def test_non_buffer_source_rejected(read, source):
+    # neither a Generator nor a C-contiguous buffer: ValueError, not an
+    # AttributeError from a missing next_bytes
+    with pytest.raises(ValueError, match=type(source).__name__):
+        read(source)
+
+
 def test_all_zero_stream_fails_monobit():
     reports = {r.test_name: r for r in run_battery(bytes(N_BITS // 8), N_BITS)}
     assert reports["monobit"].p_value < 1e-6
