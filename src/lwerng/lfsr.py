@@ -67,13 +67,11 @@ and x3^W, and emission runs in two phases:
      from the bits of each step's word (per position p, p bits of each slave
      stream from where the step's pop begins; then the master's bits) as the
      repeated run starts plus a shared, read-only arange, and the raw bits
-     are gathered.  `emit_bits` whitens them in place in three slices: the
-     rest of the mask from `mask_cursor`, the whole periods through a
-     (k, mask_bits) view, then a head of the mask.  So raw bit g meets mask
-     bit g mod mask_bits, whatever the step boundaries.  It hands them on as
-     a bit array, and the stream packs them into bytes.  Bits past the
-     request stay pending; a `BankState` includes them, so a bank built from
-     it continues exactly.
+     are gathered.  `emit_bits` whitens them in place with one XOR: raw bit
+     g of a walk meets mask bit (mask_cursor + g) mod mask_bits, whatever
+     the step boundaries.  It hands them on as a bit array, and the stream
+     packs them into bytes.  Bits past the request stay pending; a
+     `BankState` includes them, so a bank built from it continues exactly.
 """
 
 from array import array
@@ -84,6 +82,7 @@ import numpy as np
 from .errors import DegenerateState, check_int
 from .lwe_hiding import HiddenSeed
 from .params import Params
+from .sampling import bits
 
 _M32 = 0xFFFFFFFF
 _WORD_BITS = 32  # one coefficient's word in the fill
@@ -195,20 +194,20 @@ def _gather(slaves: bytes, words: bytes) -> np.ndarray:
     master's bits.  The float32 product is exact: its entries are sums of
     at most 32 integers below 2^11.
     """
-    bits = np.unpackbits(np.frombuffer(slaves + words, np.uint8), bitorder="little")
+    flat = bits(slaves + words)
     span = 8 * len(slaves) // 3
-    steps = bits[3 * span:].reshape(-1, 2 * _WORD_BITS)
+    steps = flat[3 * span:].reshape(-1, 2 * _WORD_BITS)
     runs = (steps[:, :_WORD_BITS] @ _RUN_TABLE).astype(np.int64)
     ends = np.cumsum(runs[:, -2:], axis=0)
     # each step's pop start minus its output start
     shift = ends[:, 1] - runs[:, -1]
     starts = runs[:, _RUNS:-2] + _RUN_SLAVE * span + shift[:, None]
     # the master's run reads its step's entry from bit 32, not a slave stream
-    l4o = np.arange(3 * span + _WORD_BITS, bits.size, 2 * _WORD_BITS)
+    l4o = np.arange(3 * span + _WORD_BITS, flat.size, 2 * _WORD_BITS)
     starts[:, _MASTER_RUN] += l4o - ends[:, 0]
     idx = np.repeat(starts.ravel(), runs[:, :_RUNS].ravel())
     idx += _index_base(idx.size)[:idx.size]
-    return bits.take(idx)
+    return flat.take(idx)
 
 
 def _mask_width(p: Params) -> int:
@@ -273,9 +272,7 @@ class LfsrBank:
         self.mask_cursor = state.mask_cursor
         self._buf = np.frombuffer(pending, np.uint8).copy()
         # the mask as one uint8 per bit, mask bit 0 first
-        self._mask_unpacked = np.unpackbits(
-            np.frombuffer(mask.to_bytes(mask_bits // 8, "little"), np.uint8),
-            bitorder="little")
+        self._mask_unpacked = bits(mask.to_bytes(mask_bits // 8, "little"))
 
     def __copy__(self) -> "LfsrBank":
         """A shallow copy with the attributes copied directly; copy.copy's
@@ -370,8 +367,8 @@ class LfsrBank:
         """Exactly nbits whitened stream bits, one uint8 per bit in stream order.
 
         Bits beyond the request stay buffered for the next call, so chunked
-        emission concatenates to one large emission.  Raw bit g of the run
-        meets mask bit g mod mask_bits, whatever the step boundaries.
+        emission concatenates to one large emission.  The walk's bits are
+        whitened by the module docstring's one rule, from `mask_cursor` on.
         """
         check_int("nbits", nbits, 0)
         buf = self._buf
@@ -379,17 +376,10 @@ class LfsrBank:
             # a zero master raises below before any step: the walk would still
             # advance the cursor, and int_emit does not
             raw = _gather(*self._walk(nbits - buf.size))
-            mask, period, c = self._mask_unpacked, self.mask_bits, self.mask_cursor
-            # in place: the rest of the mask from the cursor, whole periods,
-            # then a head of the mask
-            rest = min(period - c, raw.size)
-            raw[:rest] ^= mask[c:c + rest]
-            if rest < raw.size:
-                k, tail = divmod(raw.size - rest, period)
-                whole = raw[rest:rest + k * period].reshape(k, period)
-                whole ^= mask
-                raw[rest + k * period:] ^= mask[:tail]
-            self.mask_cursor = (c + raw.size) % period
+            c, n, period = self.mask_cursor, raw.size, self.mask_bits
+            # the walk emits at least one bit, so at least one period is joined
+            raw ^= np.concatenate((self._mask_unpacked,) * -(-(c + n) // period))[c:c + n]
+            self.mask_cursor = (c + n) % period
             buf = np.concatenate((buf, raw)) if buf.size else raw
             self._buf = buf
         if buf.size < nbits:

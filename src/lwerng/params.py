@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import InconsistentLayout, InvalidModulus, check_int
+from .errors import InconsistentLayout, InvalidModulus, check_int, named
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def resolve_params(p) -> Params:
     if p is None:
         return default_params()
     if not isinstance(p, Params):
-        raise ValueError(f"params={p!r} must be a Params or None")
+        raise ValueError(f"{named('params', p)} must be a Params or None")
     return p
 
 

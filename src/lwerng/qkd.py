@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import IdenticalSeeds, check_int
-from .sampling import EntropyInput
+from .sampling import EntropyInput, bits
 from .stream import Generator
 
 ADVERSARIES = (None, "intercept_resend")
@@ -69,8 +69,7 @@ class QkdSession:
 
 
 def _draw_bits(gen: Generator, count: int) -> np.ndarray:
-    data = gen.next_bytes((count + 7) // 8)
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")[:count]
+    return bits(gen.next_bytes((count + 7) // 8))[:count]
 
 
 def _measure(gen: Generator, bases, sent_bits, sent_bases) -> np.ndarray:

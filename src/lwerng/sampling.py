@@ -11,7 +11,8 @@ Domain label table (normative):
 
 j is one byte, so `validate` bounds n by 256.  All streams are SHAKE-256 of
 entropy || label.  Bit-level reads consume the bytes LSB-first: the first
-bit read from a byte is its bit 0.
+bit read from a byte is its bit 0.  `bits` is the package's one LSB-first
+reader; the register bank, BB84 and the scatter indexes read through it too.
 """
 
 import hashlib
@@ -51,7 +52,7 @@ def _xof(ent: EntropyInput, label: bytes):
     return hashlib.shake_256(ent.data + label)
 
 
-def _bits(raw: bytes) -> np.ndarray:
+def bits(raw: bytes) -> np.ndarray:
     """The bits of `raw` in stream order: byte by byte, LSB-first within each."""
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
 
@@ -82,15 +83,13 @@ def _accepted(xofs, width: int, keep: int, bound: int, need: int) -> np.ndarray:
     while True:
         raw = b"".join(x.digest(draws * width // 8) for x in xofs)
         if sub:
-            bits = _bits(raw).reshape(-1, width)
-            fields = np.left_shift(bits[:, keep - 1], keep - 1, dtype=word)
+            cols = bits(raw).reshape(-1, width)
+            fields = np.left_shift(cols[:, keep - 1], keep - 1, dtype=word)
             for j in range(keep - 2, -1, -1):
-                fields += np.left_shift(bits[:, j], j, dtype=word) if j else bits[:, 0]
+                fields += np.left_shift(cols[:, j], j, dtype=word) if j else cols[:, 0]
         else:
             fields = np.ndarray((len(raw) // nbytes,), word, raw + bytes(word.itemsize - nbytes),
-                                strides=(nbytes,))
-            if keep < 8 * word.itemsize:
-                fields = fields & ((1 << keep) - 1)
+                                strides=(nbytes,)) & ((1 << keep) - 1)
         # compress, not a boolean index: it reads a fresh key's secret in about half the time
         picked = [row.compress(row < bound)[:need] for row in fields.reshape(len(xofs), draws)]
         if min(len(v) for v in picked) == need:
@@ -107,9 +106,9 @@ def expand_matrix(ent: EntropyInput, p: Params) -> np.ndarray:
     rejecting values >= q (acceptance ~ q / 2^bitlen).  The entries keep
     the unsigned dtype they were read in (uint32 at the default q).
     """
-    bits = p.q.bit_length()
+    keep = p.q.bit_length()
     xofs = [_xof(ent, bytes([LABEL_MATRIX, 0, j])) for j in range(p.n)]
-    coeffs = _accepted(xofs, 8 * ((bits + 7) // 8), bits, p.q, p.degree)
+    coeffs = _accepted(xofs, 8 * ((keep + 7) // 8), keep, p.q, p.degree)
     return coeffs.reshape(1, p.n, p.degree)
 
 
@@ -131,15 +130,15 @@ def sample_error(ent: EntropyInput, p: Params) -> np.ndarray:
     P(0) = 1/2 and P(+-1) = 1/4 on support {-1, 0, 1}.
     """
     nbits = 2 * p.eta * p.degree
-    bits = _bits(_xof(ent, LABEL_ERROR).digest((nbits + 7) // 8))[:nbits]
-    ab = bits.reshape(p.degree, 2, p.eta).sum(axis=-1, dtype=np.int64)
+    coins = bits(_xof(ent, LABEL_ERROR).digest((nbits + 7) // 8))[:nbits]
+    ab = coins.reshape(p.degree, 2, p.eta).sum(axis=-1, dtype=np.int64)
     return ab[:, 0] - ab[:, 1]
 
 
 def seed_payload(ent: EntropyInput, p: Params) -> np.ndarray:
     """Binary payload, (degree,): coefficients in {0, 1}, one bit each."""
     raw = _xof(ent, bytes([LABEL_PAYLOAD])).digest((p.degree + 7) // 8)
-    return _bits(raw)[:p.degree].astype(np.int64)
+    return bits(raw)[:p.degree].astype(np.int64)
 
 
 def derive_reseed_entropy(ent: EntropyInput, generation: int) -> EntropyInput:

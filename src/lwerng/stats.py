@@ -61,6 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientBits, check_int
+from .sampling import bits
 from .stream import Generator
 
 FAIL_P = 1e-6
@@ -305,9 +306,8 @@ def scatter_indexes(source, count: int) -> np.ndarray:
     """3-bit indexes in [0, 7], LSB-first: the first bit consumed is the LSB."""
     check_int("count", count, 1)
     data = _take_bytes(source, (3 * count + 7) // 8)
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    bits = bits[: 3 * count].reshape(count, 3)
-    return bits[:, 0] | (bits[:, 1] << 1) | (bits[:, 2] << 2)
+    triples = bits(data)[: 3 * count].reshape(count, 3)
+    return triples[:, 0] | (triples[:, 1] << 1) | (triples[:, 2] << 2)
 
 
 def write_scatter_csv(indexes, sink) -> None:

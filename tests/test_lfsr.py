@@ -532,10 +532,11 @@ def _steps_to_raw_end(regs, start, end):
 @pytest.mark.parametrize("end", [-1, 0, 1], ids=["before", "at", "after"])
 @pytest.mark.parametrize("start", [0, 1, MASK_BITS - 1], ids=["c0", "c1", "cP-1"])
 def test_emit_around_mask_period_boundary(params, start, end):
-    # whitening slices the mask from the cursor, in whole periods and as a
-    # head; reads and walks that end one bit either side of a period
-    # boundary must match int_emit.  The first read spans three periods,
-    # the last sequence starts with a walk inside the first period.
+    # whitening XORs the mask repeated from the cursor, so raw bit g meets
+    # mask bit (cursor + g) mod the period; reads and walks that end one bit
+    # either side of a period boundary must match int_emit.  The first read
+    # spans three periods, the last sequence starts with a walk inside the
+    # first period.
     rng = random.Random(120 + 3 * start + end)
     mask = rng.getrandbits(MASK_BITS)
     regs = [rng.getrandbits(256) for _ in range(4)]

@@ -149,15 +149,17 @@ def test_reseed_derivation_distinct(ent_zero):
 
 
 @pytest.mark.parametrize("which", ["params", "toy_params", "eta2", "eta3", "eta4", "eta8",
-                                   "eta128", "q97", "widest_q"])
+                                   "eta128", "q97", "q193", "q40961", "widest_q"])
 def test_samplers_match_sequential_reference(which, request):
     # eta = 2 and 3 accept 5/8 and 7/8 of the 3-bit secret reads; eta = 4, 8
     # and 128 read 4-, 5- and 9-bit fields, two per byte, eight per 40-bit
-    # group and eight per 72-bit group; q97 makes 8-bit matrix reads; widest_q
-    # reads 25-bit fields through 32-bit reads, the widest fields any
-    # admitted ring has (degree 16 admits q < 2^25)
+    # group and eight per 72-bit group; q97 makes 8-bit matrix reads; q193
+    # and q40961 keep all 8 and all 16 bits of their uint8 and uint16 words;
+    # widest_q reads 25-bit fields through 32-bit reads, the widest fields
+    # any admitted ring has (degree 16 admits q < 2^25)
     p = {"eta2": Params(eta=2), "eta3": Params(eta=3), "eta4": Params(eta=4),
          "eta8": Params(eta=8), "eta128": Params(eta=128), "q97": Params(q=97, degree=16),
+         "q193": Params(q=193, degree=32), "q40961": Params(q=40961),
          "widest_q": Params(q=33554273, degree=16)}.get(which)
     if p is None:
         p = request.getfixturevalue(which)

@@ -16,10 +16,16 @@ It imports lwerng from the `src/` next to this file and hashes, in order:
 4. 256 KiB of stream from `Generator(bytes([t + 1]) * 32)`, t = 0..3;
 5. for reseed interval 0 and then 1001 bits, one `Generator(bytes([9]) * 32)`
    read in pieces of 1, 7, 4099 and 65536 bytes, that cycle three times, so
-   the reads end mid-step and, at 1001, cross reseeds in mid-byte.
+   the reads end mid-step and, at 1001, cross reseeds in mid-byte;
+6. `run_session` at 4099 photons with no adversary and then with
+   `intercept_resend`, Alice, Bob and Eve seeded with SHAKE-256 of b"alice",
+   b"bob" and b"eve": the bytes of the session's four bit arrays, in field
+   order;
+7. `scatter_indexes(Generator(SHAKE-256(b"scatter")), 10001)` as bytes.
 
-Two trees that print the same digest produce the same experiment hit counts,
-concealed seeds, transforms and stream bytes on these inputs.
+The counts in 6 and 7 end mid-byte.  Two trees that print the same digest
+produce the same experiment hit counts, concealed seeds, transforms, stream
+bytes, BB84 sessions and scatter indexes on these inputs.
 """
 
 import hashlib
@@ -34,7 +40,13 @@ from lwerng import Generator  # noqa: E402
 from lwerng.lwe_hiding import MODES, distinguishing_experiment, hide  # noqa: E402
 from lwerng.params import Params, default_params  # noqa: E402
 from lwerng.polyring import inv_ntt, ntt  # noqa: E402
+from lwerng.qkd import ADVERSARIES, run_session  # noqa: E402
 from lwerng.sampling import EntropyInput  # noqa: E402
+from lwerng.stats import scatter_indexes  # noqa: E402
+
+
+def _ent(label: bytes) -> EntropyInput:
+    return EntropyInput(hashlib.shake_256(label).digest(32))
 
 
 def main() -> None:
@@ -59,6 +71,11 @@ def main() -> None:
         gen = Generator(EntropyInput(bytes([9]) * 32), reseed_interval=interval)
         for size in (1, 7, 4099, 65536) * 3:
             h.update(gen.next_bytes(size))
+    for adversary in ADVERSARIES:
+        s = run_session(_ent(b"alice"), _ent(b"bob"), 4099, adversary, _ent(b"eve"))
+        for bits in (s.alice_bits, s.alice_bases, s.bob_bases, s.bob_results):
+            h.update(bits.tobytes())
+    h.update(scatter_indexes(Generator(_ent(b"scatter")), 10001).tobytes())
     print(h.hexdigest())
 
 
